@@ -74,6 +74,8 @@ def _parse_range(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise QnetmaxError(f"grid range has non-numeric component: {text!r}") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise QnetmaxError(f"grid range has non-finite component: {text!r}")
     if step <= 0:
         raise QnetmaxError(f"grid step must be positive, got {step:g}")
     if stop < start:
@@ -323,6 +325,8 @@ def cmd_verify(args) -> int:
         raise UnknownSuiteError(
             f"unknown suite {args.suite!r}; expected one of {sorted(_SUITES)}"
         )
+    if args.instances < 1:
+        raise QnetmaxError(f"--instances must be >= 1, got {args.instances}")
     summary = _SUITES[args.suite](seed, args.instances, args.restarts)
     report = {
         "seed": seed,

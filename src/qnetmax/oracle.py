@@ -8,8 +8,9 @@ station's orthonormal direction pair (joint measurability of the two bits
 reported by the input-free central node forces that pair orthogonal — an
 unconstrained pair would overshoot the closed form on states whose spectra
 are not proportional).  The objective is maximized by deterministic
-coordinate ascent, one angle at a time with a grid-seeded golden-section
-line search, batched across random restarts.
+coordinate ascent, one angle at a time, batched across random restarts: the
+mixing angle in closed form, each frame rotation by grid-seeded Newton steps
+on the analytic first and second derivatives.
 """
 
 from __future__ import annotations
@@ -34,9 +35,12 @@ from .correlations import (
 from .errors import EmptyNetworkError, NoConvergenceError, ValidationError
 from .qstate import TwoQubitState, correlation_matrix, unit_vector
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 16
-_GOLDEN_STEPS = 30
+_GRID = (np.arange(_GRID_POINTS) + 0.5) * (2.0 * math.pi / _GRID_POINTS)
+_MAX_STEP = math.pi / _GRID_POINTS
+_NEWTON_STEPS = 5
+# Smallest |u| whose square is a normal float: keeps |u|^(m-2) finite at a cusp.
+_CUSP_FLOOR = math.sqrt(np.finfo(np.float64).tiny)
 _STALL_CYCLES = 25
 _DEGENERATE_TOL = 1e-14
 _GAP_SLACK = 1e-7
@@ -106,17 +110,6 @@ class OptimumCertificate:
             raise exc
 
 
-def _normalize_rows(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    """Row-normalize, substituting the matching fallback row where degenerate."""
-    norms = np.linalg.norm(v, axis=-1, keepdims=True)
-    small = norms < 1e-15
-    safe = np.where(small, 1.0, norms)
-    out = v / safe
-    if np.any(small):
-        out = np.where(small, fallback, out)
-    return out
-
-
 def _unit_rows(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     """Row-normalize, substituting the matching fallback row where degenerate."""
     norms = np.linalg.norm(v, axis=-1, keepdims=True)
@@ -135,44 +128,54 @@ def _perp_rows(w: np.ndarray) -> np.ndarray:
     return p / np.linalg.norm(p, axis=-1, keepdims=True)
 
 
-def _line_max(f, restarts: int, t_extra: np.ndarray | None = None):
-    """Maximize a periodic scalar function per restart: grid seed, then golden.
+def _mixing_angle(cp_g0: np.ndarray, cq_g1: np.ndarray, n: int) -> np.ndarray:
+    """Maximizer of |cp_g0 cos t|^(1/n) + |cq_g1 sin t|^(1/n), for weights >= 0.
 
-    f maps an angle array shaped (..., restarts) to objective values of the
-    same shape.  Returns (t_best, f_best), each shaped (restarts,).
+    Setting the derivative to zero on [0, pi/2] gives
+    tan t = (cq_g1 / cp_g0)^(1/(2n-1)).
     """
-    grid = np.linspace(0.0, 2.0 * math.pi, _GRID_POINTS, endpoint=False)
-    t_all = np.broadcast_to(grid[:, None], (_GRID_POINTS, restarts))
-    if t_extra is not None:
-        t_all = np.concatenate([t_all, t_extra[None, :]])
-    f_all = f(t_all)
-    best = np.argmax(f_all, axis=0)
-    cols = np.arange(restarts)
-    t0 = t_all[best, cols]
-    f0 = f_all[best, cols]
+    k = 1.0 / (2 * n - 1)
+    return np.arctan2(np.power(cq_g1, k), np.power(cp_g0, k))
 
-    delta = 2.0 * math.pi / _GRID_POINTS
-    lo = t0 - delta
-    hi = t0 + delta
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1 = f(x1)
-    f2 = f(x2)
-    for _ in range(_GOLDEN_STEPS):
-        take1 = f1 >= f2
-        lo = np.where(take1, lo, x1)
-        hi = np.where(take1, x2, hi)
-        span = hi - lo
-        x1n = hi - _GOLDEN * span
-        x2n = lo + _GOLDEN * span
-        f_eval = f(np.where(take1, x1n, x2n))
-        f1, f2 = np.where(take1, f_eval, f2), np.where(take1, f1, f_eval)
-        x1, x2 = x1n, x2n
-    t_mid = 0.5 * (lo + hi)
-    f_mid = f(t_mid)
-    prefer_mid = f_mid > f0
-    t_best = np.where(prefer_mid, t_mid, t0)
-    f_best = np.where(prefer_mid, f_mid, f0)
+
+def _frame_search(p, q, gx, yx, yp, m: float):
+    """Maximize p|gx cos t|^m + q|yp cos t - yx sin t|^m over t, per restart.
+
+    Both terms are powers of sinusoids, u = gx cos t and v = yp cos t - yx sin t,
+    so with pu = p|u|^(m-2) and qv = q|v|^(m-2) the value is pu u^2 + qv v^2 and
+    the first and second derivatives are m times pu u u' + qv v v' and
+    pu((m-1)u'^2 - u^2) + qv((m-1)v'^2 - v^2).  The seed is the best point of a
+    grid shifted by half a spacing, so that no seed sits on t = pi/2 or 3 pi/2:
+    the cusps of the first term, where Newton steps stall.  Newton steps are
+    clipped to half a spacing, and a non-concave point takes an uphill
+    half-step instead.  Returns the best point visited and its value, each
+    shaped like the inputs.
+    """
+    cos_t, sin_t = np.cos(_GRID)[:, None], np.sin(_GRID)[:, None]
+    f_grid = p * np.abs(gx * cos_t) ** m + q * np.abs(yp * cos_t - yx * sin_t) ** m
+    t = _GRID[np.argmax(f_grid, axis=0)]
+    t_best = t
+    f_best = np.full(np.shape(t), -math.inf)
+    for step in range(_NEWTON_STEPS + 1):
+        cos_t, sin_t = np.cos(t), np.sin(t)
+        u = gx * cos_t
+        v = yp * cos_t - yx * sin_t
+        pu = p * np.maximum(np.abs(u), _CUSP_FLOOR) ** (m - 2.0)
+        qv = q * np.maximum(np.abs(v), _CUSP_FLOOR) ** (m - 2.0)
+        uu, vv = u * u, v * v
+        f = pu * uu + qv * vv
+        better = f > f_best
+        t_best = np.where(better, t, t_best)
+        f_best = np.where(better, f, f_best)
+        if step == _NEWTON_STEPS:
+            break
+        du = -gx * sin_t
+        dv = -yp * sin_t - yx * cos_t
+        d1 = pu * u * du + qv * v * dv
+        d2 = pu * ((m - 1.0) * du * du - uu) + qv * ((m - 1.0) * dv * dv - vv)
+        concave = d2 < 0.0
+        newton = np.clip(d1 / np.where(concave, -d2, 1.0), -_MAX_STEP, _MAX_STEP)
+        t = t + np.where(concave, newton, np.copysign(0.5 * _MAX_STEP, d1))
     return t_best, f_best
 
 
@@ -266,19 +269,13 @@ class _ProductAscent:
 
     def _update_alpha(self, j: int) -> None:
         cp, cq = self._side_products(j)
-        alpha = self.alpha[:, j]
         m = self.mats[j]
-        abs_g0 = np.abs(np.sum((self.n_out[:, j, :] @ m) * self.b0[:, j, :], axis=-1))
-        abs_g1 = np.abs(np.sum((self.np_out[:, j, :] @ m) * self.b1[:, j, :], axis=-1))
-
-        def f(t):
-            return self._combine(
-                cp * abs_g0 * np.abs(np.cos(t)), cq * abs_g1 * np.abs(np.sin(t))
-            )
-
-        t_best, f_best = _line_max(f, self.config.restarts, t_extra=alpha)
+        cp_g0 = cp * np.abs(np.sum((self.n_out[:, j, :] @ m) * self.b0[:, j, :], axis=-1))
+        cq_g1 = cq * np.abs(np.sum((self.np_out[:, j, :] @ m) * self.b1[:, j, :], axis=-1))
+        t_best = _mixing_angle(cp_g0, cq_g1, self.n)
+        f_best = self._combine(cp_g0 * np.cos(t_best), cq_g1 * np.sin(t_best))
         accept = f_best > self.val
-        self.alpha[:, j] = np.where(accept, t_best, alpha)
+        self.alpha[:, j] = np.where(accept, t_best, self.alpha[:, j])
         self._refresh_branch(j)
         self.val = np.where(accept, f_best, self.val)
 
@@ -293,8 +290,9 @@ class _ProductAscent:
             x = self.b0[:, j, :] @ m.T
             y = self.b1[:, j, :] @ m.T
             old0, old1 = self.n_out[:, j, :], self.np_out[:, j, :]
-        scale_p = cp * np.abs(np.cos(self.alpha[:, j]))
-        scale_q = cq * np.abs(np.sin(self.alpha[:, j]))
+        inv = 1.0 / self.n
+        scale_p = np.power(cp * np.abs(np.cos(self.alpha[:, j])), inv)
+        scale_q = np.power(cq * np.abs(np.sin(self.alpha[:, j])), inv)
 
         # Orthonormal basis of the plane holding the optimal pair; fall back
         # to the current frame where the images are degenerate.
@@ -305,15 +303,7 @@ class _ProductAscent:
         yx = np.sum(y * e0, axis=-1)
         yp = np.sum(y * e1, axis=-1)
 
-        def f(t):
-            cos_t = np.cos(t)
-            sin_t = np.sin(t)
-            return self._combine(
-                scale_p * np.abs(gx * cos_t),
-                scale_q * np.abs(yp * cos_t - yx * sin_t),
-            )
-
-        t_best, f_best = _line_max(f, self.config.restarts)
+        t_best, f_best = _frame_search(scale_p, scale_q, gx, yx, yp, inv)
         accept = f_best > self.val
         cos_b = np.cos(t_best)[:, None]
         sin_b = np.sin(t_best)[:, None]
@@ -502,17 +492,17 @@ def maximize_chsh(
         )
     rng = np.random.default_rng(config.seed)
     fallback = np.array([0.0, 0.0, 1.0])
-    u0 = _normalize_rows(rng.standard_normal((config.restarts, 3)), fallback)
-    u1 = _normalize_rows(rng.standard_normal((config.restarts, 3)), fallback)
+    u0 = _unit_rows(rng.standard_normal((config.restarts, 3)), fallback)
+    u1 = _unit_rows(rng.standard_normal((config.restarts, 3)), fallback)
     v0 = u0
     v1 = u1
     val = np.zeros(config.restarts)
     converged = np.zeros(config.restarts, dtype=bool)
     for _ in range(config.max_iters):
-        v0 = _normalize_rows((u0 + u1) @ t, fallback)
-        v1 = _normalize_rows((u0 - u1) @ t, fallback)
-        u0 = _normalize_rows((v0 + v1) @ t.T, fallback)
-        u1 = _normalize_rows((v0 - v1) @ t.T, fallback)
+        v0 = _unit_rows((u0 + u1) @ t, fallback)
+        v1 = _unit_rows((u0 - u1) @ t, fallback)
+        u0 = _unit_rows((v0 + v1) @ t.T, fallback)
+        u1 = _unit_rows((v0 - v1) @ t.T, fallback)
         new_val = 0.5 * (
             np.linalg.norm((v0 + v1) @ t.T, axis=-1)
             + np.linalg.norm((v0 - v1) @ t.T, axis=-1)

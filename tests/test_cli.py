@@ -151,7 +151,18 @@ def test_colored_scan_rectangular_grid(capsys):
 
 @pytest.mark.parametrize(
     "grid",
-    ["0:1", "1:0:0.1", "0:1:-0.1", "0:1:0.5,0:1:0.5,0:1:0.5", "a:b:c"],
+    [
+        "0:1",
+        "1:0:0.1",
+        "0:1:-0.1",
+        "0:1:0.5,0:1:0.5,0:1:0.5",
+        "a:b:c",
+        "0:1:nan",
+        "nan:1:0.1",
+        "0:inf:0.1",
+        "0:1e999:0.1",
+        "0:1:inf",
+    ],
 )
 def test_scan_rejects_bad_grids(capsys, grid):
     assert main(["scan", "--family", "werner", "--grid", grid]) == 2
@@ -227,6 +238,15 @@ def test_verify_theorem4_reports_the_closed_form_excess(capsys):
     assert report["failures"] == 6
     assert report["min_gap"] < -1e-7
     assert report["pass"] is False
+
+
+@pytest.mark.parametrize("instances", ["0", "-3"])
+def test_verify_rejects_fewer_than_one_instance(capsys, instances):
+    code = main(["verify", "--suite", "theorem3", "--instances", instances])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--instances must be >= 1" in captured.err
 
 
 def test_verify_unknown_suite(capsys):

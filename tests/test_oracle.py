@@ -34,6 +34,7 @@ from qnetmax.oracle import (
     maximize_star,
     stationarity_tangents,
 )
+from qnetmax.oracle import _frame_search, _mixing_angle
 from qnetmax.qstate import (
     bell_state,
     make_state,
@@ -304,6 +305,113 @@ def test_star_optimum_equalizes_half_angle_tangents():
 def test_stationarity_rejects_foreign_types():
     with pytest.raises(TypeError, match="unsupported settings type"):
         stationarity_tangents({"a0": (0, 0, 1)})
+
+
+# ---------------------------------------------------------------------------
+# Line searches against test-only references
+# ---------------------------------------------------------------------------
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_line_max(f, restarts, grid_points=16, steps=30):
+    """Reference line search: best of an unshifted grid, then golden section.
+
+    f maps an angle array shaped (..., restarts) to values of the same shape;
+    returns the best value found per restart.
+    """
+    grid = np.linspace(0.0, 2.0 * math.pi, grid_points, endpoint=False)
+    t_all = np.broadcast_to(grid[:, None], (grid_points, restarts))
+    f_all = f(t_all)
+    best = np.argmax(f_all, axis=0)
+    cols = np.arange(restarts)
+    t0 = t_all[best, cols]
+    f0 = f_all[best, cols]
+    delta = 2.0 * math.pi / grid_points
+    lo, hi = t0 - delta, t0 + delta
+    x1 = hi - _GOLDEN * (hi - lo)
+    x2 = lo + _GOLDEN * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(steps):
+        take1 = f1 >= f2
+        lo = np.where(take1, lo, x1)
+        hi = np.where(take1, x2, hi)
+        x1n = hi - _GOLDEN * (hi - lo)
+        x2n = lo + _GOLDEN * (hi - lo)
+        f_eval = f(np.where(take1, x1n, x2n))
+        f1, f2 = np.where(take1, f_eval, f2), np.where(take1, f1, f_eval)
+        x1, x2 = x1n, x2n
+    return np.maximum(f(0.5 * (lo + hi)), f0)
+
+
+def _frame_objective(p, q, gx, yx, yp, m):
+    def f(t):
+        return p * np.abs(gx * np.cos(t)) ** m + q * np.abs(
+            yp * np.cos(t) - yx * np.sin(t)
+        ) ** m
+
+    return f
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_frame_search_reaches_the_golden_reference(n):
+    rng = np.random.default_rng(400 + n)
+    m = 1.0 / n
+    worst = -math.inf
+    for _ in range(300):
+        p, q, gx = rng.random((3, 32))
+        yx, yp = rng.standard_normal((2, 32))
+        f = _frame_objective(p, q, gx, yx, yp, m)
+        t_best, f_best = _frame_search(p, q, gx, yx, yp, m)
+        np.testing.assert_allclose(f(t_best), f_best, rtol=0.0, atol=1e-14)
+        worst = max(worst, float(np.max(_golden_line_max(f, 32) - f_best)))
+    assert worst <= 1e-12
+
+
+def test_frame_search_handles_vanishing_terms():
+    # Zero weights, a zero first image and a zero second image, where the
+    # Newton terms |u|^(m-2) would be infinite without the cusp floor.
+    p = np.array([0.0, 0.7, 0.7, 0.0, 0.4])
+    q = np.array([0.6, 0.0, 0.6, 0.0, 0.9])
+    gx = np.array([0.8, 0.8, 0.0, 0.8, 0.5])
+    yx = np.array([-0.3, 0.4, 0.2, 0.1, 0.0])
+    yp = np.array([0.5, 0.2, -0.9, 0.3, 0.0])
+    f = _frame_objective(p, q, gx, yx, yp, 0.5)
+    t_best, f_best = _frame_search(p, q, gx, yx, yp, 0.5)
+    assert np.all(np.isfinite(t_best))
+    np.testing.assert_allclose(f_best, _golden_line_max(f, 5), rtol=0.0, atol=1e-12)
+
+
+def test_frame_search_seeds_off_the_cusp():
+    # The second term dominates, so the best point of the unshifted grid is
+    # t = pi/2 (or 3 pi/2, its tie): the cusp of the first term, where
+    # |u|^(m-2) explodes and Newton steps stall.  The maximum lies 7.7
+    # degrees away and 0.0138 higher.
+    p, q, gx, yx, yp = (np.array([v]) for v in (0.05, 1.0, 1.0, -1.0, 0.0))
+    f = _frame_objective(p, q, gx, yx, yp, 0.5)
+    unshifted = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+    assert abs(math.cos(unshifted[np.argmax(f(unshifted))])) < 1e-15
+    t_best, f_best = _frame_search(p, q, gx, yx, yp, 0.5)
+    assert f_best[0] >= _golden_line_max(f, 1)[0] - 1e-12
+    assert f_best[0] > f(math.pi / 2.0)[0] + 0.01
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_mixing_angle_reaches_a_dense_grid(n):
+    # |cos t| and |sin t| repeat every pi/2 up to reflection, so a grid on
+    # [0, pi/2] covers the whole circle.
+    rng = np.random.default_rng(500 + n)
+    m = 1.0 / n
+    grid = np.linspace(0.0, 0.5 * math.pi, 100_000)
+    curve = np.stack([np.cos(grid) ** m, np.sin(grid) ** m])
+    for _ in range(300):
+        cp_g0, cq_g1 = rng.random((2, 32))
+        t = _mixing_angle(cp_g0, cq_g1, n)
+        value = np.abs(cp_g0 * np.cos(t)) ** m + np.abs(cq_g1 * np.sin(t)) ** m
+        weights = np.stack([cp_g0**m, cq_g1**m], axis=1)
+        for lo in range(0, 32, 4):  # blocks of 4 keep each product 3 MB
+            dense = (weights[lo : lo + 4] @ curve).max(axis=1)
+            assert np.all(value[lo : lo + 4] >= dense - 1e-12)
 
 
 # ---------------------------------------------------------------------------
