@@ -8,11 +8,10 @@ way around.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .criteria import t_spectrum
+from .criteria import chsh_from_spectrum, pair_from_spectra, t_spectrum
 from .errors import ValidationError
 from .qstate import TwoQubitState, colored_noise_state, correlation_matrix, werner_state
 
@@ -53,10 +52,9 @@ def classify_pair(state_ab: TwoQubitState, state_bc: TwoQubitState) -> RegionFla
     """Classify a source pair by its CHSH and bilocality maxima."""
     sa = t_spectrum(correlation_matrix(state_ab))
     sc = t_spectrum(correlation_matrix(state_bc))
-    s_ab = math.sqrt(sa.t1 + sa.t2)
-    s_bc = math.sqrt(sc.t1 + sc.t2)
-    b_max = math.sqrt(math.sqrt(sa.t1 * sc.t1) + math.sqrt(sa.t2 * sc.t2))
-    return classify_values(s_ab, s_bc, b_max)
+    return classify_values(
+        chsh_from_spectrum(sa), chsh_from_spectrum(sc), pair_from_spectra(sa, sc)
+    )
 
 
 def werner_scan(grid: Iterable[tuple[float, float]]) -> list[ScanRow]:
@@ -76,9 +74,9 @@ def werner_scan(grid: Iterable[tuple[float, float]]) -> list[ScanRow]:
     for v_ab, v_bc in grid:
         sa = spectrum_of(float(v_ab))
         sc = spectrum_of(float(v_bc))
-        s_ab = math.sqrt(sa.t1 + sa.t2)
-        s_bc = math.sqrt(sc.t1 + sc.t2)
-        b_max = math.sqrt(math.sqrt(sa.t1 * sc.t1) + math.sqrt(sa.t2 * sc.t2))
+        s_ab = chsh_from_spectrum(sa)
+        s_bc = chsh_from_spectrum(sc)
+        b_max = pair_from_spectra(sa, sc)
         rows.append(
             ScanRow(
                 params=(("v_ab", float(v_ab)), ("v_bc", float(v_bc))),
@@ -100,8 +98,8 @@ def colored_scan(grid: Iterable[tuple[float, float]]) -> list[ScanRow]:
         if key not in spectra:
             spectra[key] = t_spectrum(correlation_matrix(colored_noise_state(*key)))
         sp = spectra[key]
-        s = math.sqrt(sp.t1 + sp.t2)
-        b_max = math.sqrt(math.sqrt(sp.t1 * sp.t1) + math.sqrt(sp.t2 * sp.t2))
+        s = chsh_from_spectrum(sp)
+        b_max = pair_from_spectra(sp, sp)
         rows.append(
             ScanRow(
                 params=(("v", key[0]), ("lambda", key[1])),

@@ -23,7 +23,6 @@ from .correlations import zx_diagonal_settings
 from .errors import NoConvergenceError, QnetmaxError, UnknownSuiteError, ValidationError
 from .oracle import OptimizerConfig, maximize_bilocality, maximize_star
 from .qstate import (
-    correlation_matrix,
     load_state,
     random_state,
     random_unit_vector,
@@ -66,7 +65,12 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _parse_range(text: str) -> list[float]:
+# Largest scan grid (both axes together): every point becomes one CSV row.
+_MAX_GRID_POINTS = 100_000
+
+
+def _parse_range(text: str) -> tuple[float, float, float, int]:
+    """(start, stop, step, point count) of one start:stop:step range."""
     parts = text.split(":")
     if len(parts) != 3:
         raise QnetmaxError(f"grid range must be start:stop:step, got {text!r}")
@@ -80,7 +84,15 @@ def _parse_range(text: str) -> list[float]:
         raise QnetmaxError(f"grid step must be positive, got {step:g}")
     if stop < start:
         raise QnetmaxError(f"grid stop {stop:g} below start {start:g}")
-    count = int(round((stop - start) / step)) + 1
+    steps = (stop - start) / step
+    if not steps < _MAX_GRID_POINTS:
+        raise QnetmaxError(
+            f"grid range {text!r} exceeds the limit of {_MAX_GRID_POINTS} points"
+        )
+    return start, stop, step, int(round(steps)) + 1
+
+
+def _range_values(start: float, stop: float, step: float, count: int) -> list[float]:
     values = []
     for i in range(count):
         v = start + i * step
@@ -100,10 +112,10 @@ def cmd_analyze(args) -> int:
     states = [load_state(path) for path in args.states]
     report = {"seed": seed, "n_sources": len(states), "links": []}
     spectra = []
-    for i, (path, state) in enumerate(zip(args.states, states)):
-        sp = criteria.t_spectrum(correlation_matrix(state))
+    for path, state in zip(args.states, states):
+        sp = criteria._spectrum_of(state)
         spectra.append(sp)
-        s_max = math.sqrt(sp.t1 + sp.t2)
+        s_max = criteria.chsh_from_spectrum(sp)
         report["links"].append(
             {
                 "label": state.label or os.path.basename(path),
@@ -113,13 +125,10 @@ def cmd_analyze(args) -> int:
             }
         )
     if len(states) >= 2:
-        n = len(states)
-        prod1 = math.prod(sp.t1 for sp in spectra)
-        prod2 = math.prod(sp.t2 for sp in spectra)
-        joint = math.sqrt(prod1 ** (1.0 / n) + prod2 ** (1.0 / n))
+        joint = criteria.star_from_spectra(spectra)
         report["star_max"] = joint
         report["nonbilocal"] = joint > 1.0
-        if n == 2:
+        if len(states) == 2:
             report["bilocality_max"] = joint
             report["flags"] = {
                 "ab_nonlocal": report["links"][0]["chsh_violated"],
@@ -137,13 +146,17 @@ def cmd_analyze(args) -> int:
 
 def cmd_scan(args) -> int:
     ranges = args.grid.split(",")
-    if len(ranges) == 1:
-        first = second = _parse_range(ranges[0])
-    elif len(ranges) == 2:
-        first = _parse_range(ranges[0])
-        second = _parse_range(ranges[1])
-    else:
+    if len(ranges) not in (1, 2):
         raise QnetmaxError(f"--grid takes one or two ranges, got {len(ranges)}")
+    axes = [_parse_range(text) for text in ranges]
+    first_axis, second_axis = axes[0], axes[-1]  # one range makes a square grid
+    points = first_axis[3] * second_axis[3]
+    if points > _MAX_GRID_POINTS:
+        raise QnetmaxError(
+            f"--grid has {points} points, above the limit of {_MAX_GRID_POINTS} points"
+        )
+    first = _range_values(*first_axis)
+    second = _range_values(*second_axis)
     grid = [(a, b) for a in first for b in second]
     if args.family == "werner":
         rows = werner_scan(grid)
@@ -275,7 +288,7 @@ def _suite_lemma4(seed: int, instances: int, restarts: int) -> dict:
     lo = math.inf
     hi = -math.inf
     for inst_seed in _instance_seeds(seed, instances):
-        sp = criteria.t_spectrum(correlation_matrix(random_state(inst_seed)))
+        sp = criteria._spectrum_of(random_state(inst_seed))
         lo = min(lo, sp.t3)
         hi = max(hi, sp.t1)
     ok = lo >= 0.0 and hi <= 1.0 + 1e-9

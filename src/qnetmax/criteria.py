@@ -93,17 +93,38 @@ def _spectrum_of(state: TwoQubitState) -> TSpectrum:
     return t_spectrum(correlation_matrix(state))
 
 
+def chsh_from_spectrum(sp: TSpectrum) -> float:
+    """sqrt(t1 + t2): the CHSH maximum of one spectrum."""
+    return math.sqrt(sp.t1 + sp.t2)
+
+
+def pair_from_spectra(sa: TSpectrum, sc: TSpectrum) -> float:
+    """sqrt(sqrt(t1 t1') + sqrt(t2 t2')): the bilocality maximum of two spectra.
+
+    Kept apart from ``star_from_spectra``: math.sqrt and x ** 0.5 round
+    differently on a small share of inputs.
+    """
+    return math.sqrt(math.sqrt(sa.t1 * sc.t1) + math.sqrt(sa.t2 * sc.t2))
+
+
+def star_from_spectra(spectra: Sequence[TSpectrum]) -> float:
+    """sqrt((prod t1)^(1/n) + (prod t2)^(1/n)) over n >= 1 spectra."""
+    if not spectra:
+        raise EmptyNetworkError("star network needs at least one source state")
+    n = len(spectra)
+    prod1 = math.prod(sp.t1 for sp in spectra)
+    prod2 = math.prod(sp.t2 for sp in spectra)
+    return math.sqrt(prod1 ** (1.0 / n) + prod2 ** (1.0 / n))
+
+
 def chsh_max(state: TwoQubitState) -> float:
     """Maximal CHSH value sqrt(t1 + t2); above 1 iff the state violates CHSH."""
-    sp = _spectrum_of(state)
-    return math.sqrt(sp.t1 + sp.t2)
+    return chsh_from_spectrum(_spectrum_of(state))
 
 
 def bilocality_max(state_ab: TwoQubitState, state_bc: TwoQubitState) -> float:
     """Maximal bilocality value sqrt(sqrt(t1 t1') + sqrt(t2 t2'))."""
-    sa = _spectrum_of(state_ab)
-    sc = _spectrum_of(state_bc)
-    return math.sqrt(math.sqrt(sa.t1 * sc.t1) + math.sqrt(sa.t2 * sc.t2))
+    return pair_from_spectra(_spectrum_of(state_ab), _spectrum_of(state_bc))
 
 
 def star_max(states: Iterable[TwoQubitState]) -> float:
@@ -112,13 +133,7 @@ def star_max(states: Iterable[TwoQubitState]) -> float:
     It equals ``star_supremum`` for n <= 2; for n >= 3 it is a stationary
     value of the star objective, which skewed branches can exceed.
     """
-    spectra = [_spectrum_of(s) for s in states]
-    if not spectra:
-        raise EmptyNetworkError("star network needs at least one source state")
-    n = len(spectra)
-    prod1 = math.prod(sp.t1 for sp in spectra)
-    prod2 = math.prod(sp.t2 for sp in spectra)
-    return math.sqrt(prod1 ** (1.0 / n) + prod2 ** (1.0 / n))
+    return star_from_spectra([_spectrum_of(s) for s in states])
 
 
 def _star_optimum(top: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -217,8 +232,7 @@ def phi_plus_comparison(state: TwoQubitState) -> tuple[float, float]:
     """
     sp = _spectrum_of(state)
     biloc = math.sqrt(math.sqrt(sp.t1) + math.sqrt(sp.t2))
-    chsh = math.sqrt(sp.t1 + sp.t2)
-    return (biloc, chsh)
+    return (biloc, chsh_from_spectrum(sp))
 
 
 @dataclass(frozen=True)
@@ -243,11 +257,6 @@ def network_report(states: Sequence[TwoQubitState]) -> MaxReport:
     spectra = tuple(_spectrum_of(s) for s in states)
     if not spectra:
         raise EmptyNetworkError("network report needs at least one source state")
-    chsh = tuple(math.sqrt(sp.t1 + sp.t2) for sp in spectra)
-    joint = None
-    if len(spectra) >= 2:
-        n = len(spectra)
-        prod1 = math.prod(sp.t1 for sp in spectra)
-        prod2 = math.prod(sp.t2 for sp in spectra)
-        joint = math.sqrt(prod1 ** (1.0 / n) + prod2 ** (1.0 / n))
+    chsh = tuple(chsh_from_spectrum(sp) for sp in spectra)
+    joint = star_from_spectra(spectra) if len(spectra) >= 2 else None
     return MaxReport(chsh_per_link=chsh, biloc_or_star=joint, spectra=spectra)

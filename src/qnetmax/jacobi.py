@@ -1,82 +1,29 @@
-"""Cyclic Jacobi eigenvalue solvers for small Hermitian and symmetric matrices.
+"""Eigenvalues of the small Hermitian and symmetric matrices the package checks.
 
-Both solvers sweep the strict upper triangle in row-major order and apply the
-rotation that annihilates the targeted off-diagonal entry.  They are meant for
-the tiny matrices this package needs (4x4 density checks, 3x3 correlation
-Grams), where the quadratic convergence of Jacobi gives full double precision
-in a handful of sweeps.
+Both functions hand the matrix to LAPACK through ``np.linalg.eigvalsh`` and
+return the eigenvalues in ascending order.  They serve the 4x4 density
+positivity check in ``qstate`` and the 3x3 correlation Grams behind
+``criteria.t_spectrum``.  The benchmark tracer (``perfbench/tracing.py``)
+wraps both functions by this module's name.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 
-def offdiagonal_norm(matrix: np.ndarray) -> float:
-    """Frobenius norm of the off-diagonal part of a square matrix."""
-    off = matrix - np.diag(np.diag(matrix))
-    return float(np.linalg.norm(off))
-
-
-def _rotation(app: float, aqq: float, apq_mag: float) -> tuple[float, float]:
-    # (c, s) zeroing the off-diagonal of the real symmetric 2x2
-    # [[app, apq_mag], [apq_mag, aqq]]; stable small-root formula.
-    theta = (aqq - app) / (2.0 * apq_mag)
-    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    return c, t * c
-
-
-def _jacobi_eigvals(matrix: np.ndarray, tol: float, max_sweeps: int) -> np.ndarray:
-    a = matrix.copy()
-    n = a.shape[0]
-    for _ in range(max_sweeps):
-        if offdiagonal_norm(a) <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r == 0.0:
-                    continue
-                phase = apq / r
-                c, s = _rotation(a[p, p].real, a[q, q].real, r)
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * np.conj(phase) * col_q
-                a[:, q] = s * phase * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * phase * row_q
-                a[q, :] = s * np.conj(phase) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    if offdiagonal_norm(a) > tol:
-        raise RuntimeError(
-            f"Jacobi sweep limit {max_sweeps} reached with off-diagonal norm "
-            f"{offdiagonal_norm(a):.3e} > {tol:.1e}"
-        )
-    return np.sort(np.real(np.diag(a)))
-
-
-def eigvalsh_hermitian(matrix, *, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix via complex Jacobi rotations.
-
-    The rotation for a complex pivot a_pq = r e^{i phi} reuses the real (c, s)
-    pair for pivot magnitude r, with the phase folded into the off-diagonal
-    elements of the unitary.
-    """
-    a = np.asarray(matrix, dtype=np.complex128)
+def _square(matrix, dtype) -> np.ndarray:
+    a = np.asarray(matrix, dtype=dtype)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return _jacobi_eigvals(a, tol, max_sweeps)
+    return a
 
 
-def eigvalsh_symmetric(matrix, *, tol: float = 1e-12, max_sweeps: int = 64) -> np.ndarray:
-    """Ascending eigenvalues of a real symmetric matrix via Jacobi rotations."""
-    a = np.asarray(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return _jacobi_eigvals(a, tol, max_sweeps)
+def eigvalsh_hermitian(matrix) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix (lower triangle is read)."""
+    return np.linalg.eigvalsh(_square(matrix, np.complex128))
+
+
+def eigvalsh_symmetric(matrix) -> np.ndarray:
+    """Ascending eigenvalues of a real symmetric matrix (lower triangle is read)."""
+    return np.linalg.eigvalsh(_square(matrix, np.float64))

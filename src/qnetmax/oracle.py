@@ -230,6 +230,9 @@ class _ProductAscent:
         p_top = float(np.prod(s_top[:, 0])) ** inv
         q_top = float(np.prod(s_top[:, 1])) ** inv
         self.alpha[0, :] = math.atan2(q_top, p_top)
+        # Branch factors g0 = n.M b0, g1 = n'.M b1 and the mixed p, q.
+        self.g0 = np.empty((restarts, self.n))
+        self.g1 = np.empty((restarts, self.n))
         self.p = np.empty((restarts, self.n))
         self.q = np.empty((restarts, self.n))
         for j in range(self.n):
@@ -252,10 +255,10 @@ class _ProductAscent:
 
     def _refresh_branch(self, j: int) -> None:
         m = self.mats[j]
-        g0 = np.sum((self.n_out[:, j, :] @ m) * self.b0[:, j, :], axis=-1)
-        g1 = np.sum((self.np_out[:, j, :] @ m) * self.b1[:, j, :], axis=-1)
-        self.p[:, j] = np.cos(self.alpha[:, j]) * g0
-        self.q[:, j] = np.sin(self.alpha[:, j]) * g1
+        self.g0[:, j] = np.sum((self.n_out[:, j, :] @ m) * self.b0[:, j, :], axis=-1)
+        self.g1[:, j] = np.sum((self.np_out[:, j, :] @ m) * self.b1[:, j, :], axis=-1)
+        self.p[:, j] = np.cos(self.alpha[:, j]) * self.g0[:, j]
+        self.q[:, j] = np.sin(self.alpha[:, j]) * self.g1[:, j]
 
     def _side_products(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         others = [i for i in range(self.n) if i != j]
@@ -269,9 +272,8 @@ class _ProductAscent:
 
     def _update_alpha(self, j: int) -> None:
         cp, cq = self._side_products(j)
-        m = self.mats[j]
-        cp_g0 = cp * np.abs(np.sum((self.n_out[:, j, :] @ m) * self.b0[:, j, :], axis=-1))
-        cq_g1 = cq * np.abs(np.sum((self.np_out[:, j, :] @ m) * self.b1[:, j, :], axis=-1))
+        cp_g0 = cp * np.abs(self.g0[:, j])
+        cq_g1 = cq * np.abs(self.g1[:, j])
         t_best = _mixing_angle(cp_g0, cq_g1, self.n)
         f_best = self._combine(cp_g0 * np.cos(t_best), cq_g1 * np.sin(t_best))
         accept = f_best > self.val

@@ -91,6 +91,8 @@ class CorrelationMatrix:
         t = np.array(self.t, dtype=np.float64)
         if t.shape != (3, 3):
             raise ValidationError(f"correlation matrix must be 3x3, got shape {t.shape}")
+        if not np.all(np.isfinite(t)):
+            raise ValidationError("correlation matrix has non-finite entries")
         worst = float(np.abs(t).max())
         if worst > 1.0 + VALIDATION_TOL:
             raise ValidationError(f"correlator magnitude {worst:.6g} exceeds 1")

@@ -168,6 +168,22 @@ def test_scan_rejects_non_finite_grids(capsys, grid):
     assert "non-finite" in captured.err
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        "0:1:1e-12",  # one axis alone: ~1e12 points
+        "0:1e300:1e-300",  # (stop - start) / step overflows to inf
+        "0:1:0.003",  # one range, square: 334 x 334
+        "0:1:0.001,0:0.1:0.001",  # two small axes, large product: 1001 x 101
+    ],
+)
+def test_scan_rejects_oversized_grids(capsys, grid):
+    assert main(["scan", "--family", "werner", "--grid", grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "limit of 100000 points" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Jacobi eigensolvers against numpy and against exact structure."""
+"""Eigenvalue helpers against numpy, exact structure and the PSD check."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnetmax import jacobi
-
-
-def test_offdiagonal_norm_diagonal_is_zero():
-    assert jacobi.offdiagonal_norm(np.diag([3.0, -1.0, 2.0])) == 0.0
-
-
-def test_offdiagonal_norm_counts_only_off_entries():
-    m = np.array([[1.0, 3.0], [4.0, 2.0]])
-    assert jacobi.offdiagonal_norm(m) == pytest.approx(5.0)
+from qnetmax.errors import NotPSDError
+from qnetmax.qstate import VALIDATION_TOL, make_state
 
 
 def test_symmetric_diagonal_input_sorted():
@@ -58,10 +51,39 @@ def test_eigenvalue_sum_equals_trace():
     assert float(vals.sum()) == pytest.approx(float(np.trace(sym)), abs=1e-12)
 
 
-def test_sweep_limit_raises():
-    m = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(RuntimeError, match="sweep limit"):
-        jacobi.eigvalsh_symmetric(m, max_sweeps=0)
+@pytest.mark.parametrize("solver", [jacobi.eigvalsh_symmetric, jacobi.eigvalsh_hermitian])
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2)])
+def test_non_square_input_raises(solver, shape):
+    with pytest.raises(ValueError, match="square"):
+        solver(np.zeros(shape))
+
+
+def test_degenerate_spectra_come_back_ascending():
+    rng = np.random.default_rng(19)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    sym = q @ np.diag([0.25, 0.0, 0.25]) @ q.T
+    got = jacobi.eigvalsh_symmetric(sym)
+    assert np.all(np.diff(got) >= 0.0)
+    np.testing.assert_allclose(got, [0.0, 0.25, 0.25], atol=1e-15)
+    u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    herm = u @ np.diag([0.5, 0.0, 0.5, 0.0]) @ u.conj().T
+    got = jacobi.eigvalsh_hermitian(herm)
+    assert np.all(np.diff(got) >= 0.0)
+    np.testing.assert_allclose(got, [0.0, 0.0, 0.5, 0.5], atol=1e-15)
+
+
+def _state_with_smallest_eigenvalue(smallest):
+    rng = np.random.default_rng(23)
+    u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    eigs = np.array([smallest, 0.25, 0.25, 0.5 - smallest])
+    return u @ np.diag(eigs) @ u.conj().T
+
+
+def test_psd_check_boundary_at_validation_tolerance():
+    assert VALIDATION_TOL == 1e-9
+    make_state(_state_with_smallest_eigenvalue(-5e-10))
+    with pytest.raises(NotPSDError, match="negative eigenvalue -2"):
+        make_state(_state_with_smallest_eigenvalue(-2e-9))
 
 
 @settings(max_examples=60, deadline=None)

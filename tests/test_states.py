@@ -17,6 +17,7 @@ from qnetmax.errors import (
 )
 from qnetmax.qstate import (
     BELL_KETS,
+    CorrelationMatrix,
     TwoQubitState,
     apply_local_unitaries,
     bell_state,
@@ -160,6 +161,14 @@ def test_phi_plus_correlation_matrix():
 def test_mixed_correlation_matrix_is_zero():
     t = correlation_matrix(make_state(MIXED)).t
     np.testing.assert_allclose(t, np.zeros((3, 3)), atol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_correlation_matrix_rejects_non_finite_entries(bad):
+    t = np.diag([0.5, -0.5, 0.5])
+    t[1, 2] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        CorrelationMatrix(t)
 
 
 def test_correlation_matrix_linear_in_state():
