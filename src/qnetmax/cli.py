@@ -178,18 +178,21 @@ def _instance_seeds(seed: int, instances: int) -> list[int]:
 
 def _suite_theorem1(seed: int, instances: int, restarts: int) -> dict:
     rng = np.random.default_rng(seed)
+    tol = 1e-12
     worst = 0.0
+    failures = 0
     for inst_seed in _instance_seeds(seed, instances):
         state_ab = random_state(inst_seed)
         state_bc = random_state(inst_seed + 1)
         dirs = [random_unit_vector(rng) for _ in range(4)]
-        worst = max(worst, theorem1_check(state_ab, state_bc, *dirs))
-    tol = 1e-12
+        diff = theorem1_check(state_ab, state_bc, *dirs)
+        worst = max(worst, diff)
+        failures += not diff <= tol
     return {
         "max_correlator_diff": worst,
         "tolerance": tol,
-        "failures": 0 if worst <= tol else 1,
-        "pass": worst <= tol,
+        "failures": failures,
+        "pass": failures == 0,
     }
 
 
@@ -267,37 +270,41 @@ def _suite_theorem4(seed: int, instances: int, restarts: int) -> dict:
 
 def _suite_lemma2(seed: int, instances: int, restarts: int) -> dict:
     rng = np.random.default_rng(seed)
+    tol = 1e-9
     worst = 0.0
+    failures = 0
     for _ in range(instances):
         m = rng.uniform(-1.0, 1.0, size=(3, 3))
         left = jacobi.eigvalsh_symmetric(m.T @ m)
         right = jacobi.eigvalsh_symmetric(m @ m.T)
         mask = (left > 1e-10) | (right > 1e-10)
         if bool(np.any(mask)):
-            worst = max(worst, float(np.abs(left - right)[mask].max()))
-    tol = 1e-9
+            diff = float(np.abs(left - right)[mask].max())
+            worst = max(worst, diff)
+            failures += not diff <= tol
     return {
         "max_eigenvalue_diff": worst,
         "tolerance": tol,
-        "failures": 0 if worst <= tol else 1,
-        "pass": worst <= tol,
+        "failures": failures,
+        "pass": failures == 0,
     }
 
 
 def _suite_lemma4(seed: int, instances: int, restarts: int) -> dict:
     lo = math.inf
     hi = -math.inf
+    failures = 0
     for inst_seed in _instance_seeds(seed, instances):
         sp = criteria._spectrum_of(random_state(inst_seed))
         lo = min(lo, sp.t3)
         hi = max(hi, sp.t1)
-    ok = lo >= 0.0 and hi <= 1.0 + 1e-9
+        failures += not (sp.t3 >= 0.0 and sp.t1 <= 1.0 + 1e-9)
     return {
         "min_t": lo,
         "max_t": hi,
         "tolerance": 1e-9,
-        "failures": 0 if ok else 1,
-        "pass": ok,
+        "failures": failures,
+        "pass": failures == 0,
     }
 
 

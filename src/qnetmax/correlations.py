@@ -36,6 +36,8 @@ ORTHOGONALITY_TOL = 1e-9
 Z_AXIS = (0.0, 0.0, 1.0)
 X_AXIS = (1.0, 0.0, 0.0)
 
+_OUTCOME_SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1)
+
 
 def pauli_dot(v) -> np.ndarray:
     """2x2 observable v . sigma for a Bloch direction v."""
@@ -43,10 +45,53 @@ def pauli_dot(v) -> np.ndarray:
     return v[0] * PAULIS[0] + v[1] * PAULIS[1] + v[2] * PAULIS[2]
 
 
-def projector(v, outcome: int) -> np.ndarray:
-    """Rank-1 projector onto the (-1)^outcome eigenspace of v . sigma."""
-    sign = -1.0 if outcome else 1.0
-    return (np.eye(2, dtype=complex) + sign * pauli_dot(v)) / 2.0
+def projectors(v) -> np.ndarray:
+    """Rank-1 projectors onto the (-1)^o eigenspaces of v . sigma, indexed [o]."""
+    return (np.eye(2, dtype=complex) + _OUTCOME_SIGNS * pauli_dot(v)) / 2.0
+
+
+def kron(a, b) -> np.ndarray:
+    """Kronecker product of the last two axes, broadcast over the leading ones.
+
+    The elementwise products are exactly those np.kron forms for 2-D inputs,
+    without its per-call set-up, so stacked operators keep every bit.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
+
+
+def expectations(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Re tr(op rho) for every operator in a stack."""
+    return np.trace(ops @ rho, axis1=-2, axis2=-1).real
+
+
+def validated_rows(table: dict, shape: tuple[int, ...] | None = None) -> dict:
+    """Read-only float copies of an outcome table's rows, keyed by integer tuples.
+
+    Every row must be finite, nonnegative within 1e-12 and sum to 1 within
+    1e-12, and have the given shape when one is named.
+    """
+    rows = {}
+    for inputs, row in table.items():
+        row = np.array(row, dtype=np.float64)
+        if shape is not None and row.shape != shape:
+            raise ValidationError(f"row at {inputs} must have shape {shape}")
+        total = float(row.sum())
+        if not math.isfinite(total):
+            raise ValidationError(f"non-finite probability at inputs {inputs}")
+        if float(row.min()) < -_ROW_TOL:
+            raise ValidationError(
+                f"negative probability {row.min():.3e} at inputs {inputs}"
+            )
+        if abs(total - 1.0) > _ROW_TOL:
+            raise ValidationError(
+                f"probabilities at inputs {inputs} sum to {total!r}, not 1"
+            )
+        row.setflags(write=False)
+        rows[tuple(int(i) for i in inputs)] = row
+    return rows
 
 
 def _require_orthogonal(name0: str, v0: np.ndarray, name1: str, v1: np.ndarray) -> None:
@@ -149,21 +194,7 @@ class OutcomeDistribution:
     table: dict[tuple[int, ...], np.ndarray]
 
     def __post_init__(self):
-        table = {}
-        for inputs, row in self.table.items():
-            row = np.array(row, dtype=np.float64)
-            if float(row.min()) < -_ROW_TOL:
-                raise ValidationError(
-                    f"negative probability {row.min():.3e} at inputs {inputs}"
-                )
-            total = float(row.sum())
-            if abs(total - 1.0) > _ROW_TOL:
-                raise ValidationError(
-                    f"probabilities at inputs {inputs} sum to {total!r}, not 1"
-                )
-            row.setflags(write=False)
-            table[tuple(int(i) for i in inputs)] = row
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "table", validated_rows(self.table))
 
     def row(self, inputs) -> np.ndarray:
         key = tuple(int(i) for i in inputs)
@@ -194,13 +225,13 @@ def bilocality_value(
 
 
 def _pair_distribution(state: TwoQubitState, first, second) -> np.ndarray:
-    """2x2 outcome table for measuring the two qubits along the given directions."""
-    rho = state.entries
-    out = np.empty((2, 2))
-    for o1, o2 in product(range(2), range(2)):
-        op = np.kron(projector(first, o1), projector(second, o2))
-        out[o1, o2] = np.trace(op @ rho).real
-    return out
+    """Outcome tables [d1, d2, o1, o2] for measuring the two qubits of a state.
+
+    `first` and `second` stack the projectors of two directions each,
+    indexed [direction, outcome]; see `projectors`.
+    """
+    ops = kron(first[:, None, :, None], second[None, :, None, :])
+    return expectations(ops, state.entries)
 
 
 def outcome_distribution(
@@ -212,30 +243,23 @@ def outcome_distribution(
     qubit along bC_y and announces the parity of the two sub-outcomes.
     """
     s = settings
-    a_dirs = (s.a0, s.a1)
-    bA_dirs = (s.bA0, s.bA1)
-    bC_dirs = (s.bC0, s.bC1)
-    c_dirs = (s.c0, s.c1)
-    p_ab = {
-        (x, y): _pair_distribution(state_ab, a_dirs[x], bA_dirs[y])
-        for x in range(2)
-        for y in range(2)
-    }
-    p_bc = {
-        (y, z): _pair_distribution(state_bc, bC_dirs[y], c_dirs[z])
-        for y in range(2)
-        for z in range(2)
-    }
-    table = {}
-    for x, y, z in product(range(2), range(2), range(2)):
-        row = np.zeros((2, 2, 2))
-        left = p_ab[(x, y)]
-        right = p_bc[(y, z)]
-        for beta_a, beta_c in product(range(2), range(2)):
-            b = beta_a ^ beta_c
-            row[:, b, :] += np.outer(left[:, beta_a], right[beta_c, :])
-        table[(x, y, z)] = row
-    return OutcomeDistribution(table)
+    p_ab = _pair_distribution(  # [x, y, a, beta_a]
+        state_ab,
+        np.stack([projectors(s.a0), projectors(s.a1)]),
+        np.stack([projectors(s.bA0), projectors(s.bA1)]),
+    )
+    p_bc = _pair_distribution(  # [y, z, beta_c, c]
+        state_bc,
+        np.stack([projectors(s.bC0), projectors(s.bC1)]),
+        np.stack([projectors(s.c0), projectors(s.c1)]),
+    )
+    # terms[x, y, z, a, beta_a, beta_c, c]; the announced bit is beta_a ^ beta_c,
+    # so b = 0 pairs beta_c = beta_a and b = 1 pairs beta_c = 1 - beta_a.
+    terms = p_ab[:, :, None, :, :, None, None] * p_bc[None, :, :, None, None, :, :]
+    rows = terms[..., 0, :, :] + terms[..., 1, ::-1, :]
+    return OutcomeDistribution(
+        {inputs: rows[inputs] for inputs in product(range(2), range(2), range(2))}
+    )
 
 
 _SIGNS3 = np.array(

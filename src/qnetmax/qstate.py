@@ -211,17 +211,37 @@ def bloch_rotation(u: np.ndarray) -> np.ndarray:
     return rot
 
 
-def unit_vector(v) -> np.ndarray:
-    """Normalize a 3-component direction; rejects zero and non-finite input."""
+def _direction_array(v, name: str) -> np.ndarray:
+    """A float copy of a direction, checked to be 3 finite components."""
     arr = np.array(v, dtype=np.float64)
     if arr.shape != (3,):
-        raise ValidationError(f"direction must have 3 components, got shape {arr.shape}")
+        raise ValidationError(f"{name} must have 3 components, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValidationError("direction has non-finite components")
+        raise ValidationError(f"{name} has non-finite components")
+    return arr
+
+
+def unit_vector(v) -> np.ndarray:
+    """Normalize a 3-component direction; rejects zero and non-finite input."""
+    arr = _direction_array(v, "direction")
     norm = float(np.linalg.norm(arr))
     if norm < 1e-12:
         raise ValidationError("direction vector is numerically zero")
     return _readonly(arr / norm)
+
+
+def require_unit_vector(v, name: str) -> np.ndarray:
+    """Check that a direction is a unit vector within 1e-9, without rescaling it.
+
+    A measurement direction off the unit sphere describes an unsharp
+    measurement; normalizing it again would move the last bits of directions
+    that are already unit vectors.
+    """
+    arr = _direction_array(v, f"direction {name}")
+    norm = float(np.linalg.norm(arr))
+    if abs(norm - 1.0) > VALIDATION_TOL:
+        raise ValidationError(f"direction {name} has norm {norm:.9g}, not 1")
+    return arr
 
 
 def random_unit_vector(rng: np.random.Generator) -> np.ndarray:

@@ -20,21 +20,22 @@ from .correlations import (
     X_AXIS,
     Z_AXIS,
     correlator_from_distribution,
+    expectations,
+    kron,
     outcome_distribution,
-    projector,
+    projectors,
+    validated_rows,
 )
-from .errors import MissingInputTupleError, SettingsFormatError, ValidationError
-from .qstate import BELL_KETS, PAULI_X, PAULI_Z, TwoQubitState
-
-_ROW_TOL = 1e-12
+from .errors import MissingInputTupleError, SettingsFormatError
+from .qstate import BELL_KETS, PAULI_X, PAULI_Z, TwoQubitState, require_unit_vector
 
 # Outcome index k <-> Bell vector and reported bits (b0, b1).  The signs
 # (-1)^(b0) and (-1)^(b1) recombine the outcomes into the two observables.
 BELL_OUTCOME_ORDER = ("phi+", "phi-", "psi+", "psi-")
 BELL_OUTCOME_BITS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-_BELL_PROJECTORS = tuple(
-    np.outer(BELL_KETS[name], BELL_KETS[name].conj()) for name in BELL_OUTCOME_ORDER
+_BELL_PROJECTORS = np.array(
+    [np.outer(BELL_KETS[name], BELL_KETS[name].conj()) for name in BELL_OUTCOME_ORDER]
 )
 
 
@@ -62,23 +63,7 @@ class BsmDistribution:
     table: dict[tuple[int, int], np.ndarray]
 
     def __post_init__(self):
-        table = {}
-        for inputs, row in self.table.items():
-            row = np.array(row, dtype=np.float64)
-            if row.shape != (2, 4, 2):
-                raise ValidationError(f"row at {inputs} must have shape (2, 4, 2)")
-            if float(row.min()) < -_ROW_TOL:
-                raise ValidationError(
-                    f"negative probability {row.min():.3e} at inputs {inputs}"
-                )
-            total = float(row.sum())
-            if abs(total - 1.0) > _ROW_TOL:
-                raise ValidationError(
-                    f"probabilities at inputs {inputs} sum to {total!r}, not 1"
-                )
-            row.setflags(write=False)
-            table[(int(inputs[0]), int(inputs[1]))] = row
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "table", validated_rows(self.table, (2, 4, 2)))
 
     def row(self, x: int, z: int) -> np.ndarray:
         try:
@@ -95,19 +80,21 @@ def bsm_distribution(
     c0,
     c1,
 ) -> BsmDistribution:
-    """Exact p(a, k, c | x, z) when the center performs a Bell-state measurement."""
-    rho = np.kron(state_ab.entries, state_bc.entries)
-    a_dirs = (a0, a1)
-    c_dirs = (c0, c1)
+    """Exact p(a, k, c | x, z) when the center performs a Bell-state measurement.
+
+    The four end-station directions must be unit vectors within 1e-9; they
+    are used as given, not normalized again.
+    """
+    for name, v in (("a0", a0), ("a1", a1), ("c0", c0), ("c1", c1)):
+        require_unit_vector(v, name)
+    proj_a = (projectors(a0), projectors(a1))
+    proj_c = (projectors(c0), projectors(c1))
+    rho = kron(state_ab.entries, state_bc.entries)
     table = {}
     for x, z in product(range(2), range(2)):
-        row = np.empty((2, 4, 2))
-        proj_a = [projector(a_dirs[x], a) for a in range(2)]
-        proj_c = [projector(c_dirs[z], c) for c in range(2)]
-        for a, k, c in product(range(2), range(4), range(2)):
-            op = np.kron(np.kron(proj_a[a], _BELL_PROJECTORS[k]), proj_c[c])
-            row[a, k, c] = np.trace(op @ rho).real
-        table[(x, z)] = row
+        # ops[a, k, c] = P_a (x) |bell_k><bell_k| (x) P_c on the four qubits.
+        ops = kron(kron(proj_a[x][:, None, None], _BELL_PROJECTORS[:, None]), proj_c[z])
+        table[(x, z)] = expectations(ops, rho)
     return BsmDistribution(table)
 
 

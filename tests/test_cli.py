@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from conftest import SQRT2
+from qnetmax import cli
 from qnetmax.cli import main
 
 
@@ -199,6 +200,16 @@ def test_verify_theorem1(capsys):
     assert report["max_correlator_diff"] <= 1e-12
     assert report["pass"] is True
     assert "restarts" not in report
+
+
+def test_verify_theorem1_counts_every_failing_instance(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "theorem1_check", lambda *args: 1.0)
+    code, report = run_json(
+        capsys, ["verify", "--suite", "theorem1", "--instances", "7"]
+    )
+    assert code == 1
+    assert report["failures"] == report["instances"] == 7
+    assert report["pass"] is False
 
 
 def test_verify_lemma2(capsys):

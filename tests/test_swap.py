@@ -8,7 +8,11 @@ import pytest
 from conftest import SQRT2
 from qnetmax.correlations import (
     BilocalSettings,
+    OutcomeDistribution,
     bilocality_value,
+    kron,
+    outcome_distribution,
+    pauli_dot,
     zx_diagonal_settings,
 )
 from qnetmax.errors import (
@@ -25,6 +29,7 @@ from qnetmax.qstate import (
     random_unitary,
     werner_state,
 )
+from qnetmax.qstate import BELL_KETS
 from qnetmax.swap import (
     BELL_OUTCOME_BITS,
     BELL_OUTCOME_ORDER,
@@ -138,6 +143,33 @@ def test_rows_are_normalized():
         assert row.shape == (2, 4, 2)
         assert float(row.min()) >= -1e-12
         assert float(row.sum()) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+def test_non_finite_rows_are_rejected(bad_value):
+    bsm_row = np.full((2, 4, 2), 1.0 / 16.0)
+    bsm_row[0, 0, 0] = bad_value
+    with pytest.raises(ValidationError, match="non-finite"):
+        BsmDistribution({(0, 0): bsm_row})
+    outcome_row = np.full((2, 2, 2), 0.125)
+    outcome_row[1, 0, 1] = bad_value
+    with pytest.raises(ValidationError, match="non-finite"):
+        OutcomeDistribution({(0, 0, 0): outcome_row})
+
+
+@pytest.mark.parametrize(
+    "bad_direction",
+    [(0.0, 0.0, 0.0), (np.nan, 0.0, 1.0), (0.0, 1.0), (0.0, 0.0, 0.5)],
+    ids=["zero", "nan", "two-components", "unsharp"],
+)
+@pytest.mark.parametrize("position", range(4))
+def test_bsm_distribution_rejects_non_unit_directions(bad_direction, position):
+    dirs = [ZX.a0, ZX.a1, ZX.c0, ZX.c1]
+    dirs[position] = bad_direction
+    with pytest.raises(ValidationError, match="direction"):
+        bsm_distribution(SINGLET, SINGLET, *dirs)
+    with pytest.raises(ValidationError, match="direction"):
+        theorem1_check(SINGLET, SINGLET, *dirs)
 
 
 def test_distribution_validation():
@@ -264,3 +296,115 @@ def test_bsm_route_matches_separable_route_on_werner_pair():
     got = bilocality_from_bsm(dist)
     for got_part, want_part in zip(got, want):
         assert got_part == pytest.approx(want_part, abs=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# Bit identity with the per-entry np.kron simulation
+# ---------------------------------------------------------------------------
+
+
+def _kron_projector(v, outcome):
+    sign = -1.0 if outcome else 1.0
+    return (np.eye(2, dtype=complex) + sign * pauli_dot(v)) / 2.0
+
+
+_KRON_BELL = [
+    np.outer(BELL_KETS[name], BELL_KETS[name].conj()) for name in BELL_OUTCOME_ORDER
+]
+
+
+def _kron_bsm_distribution(state_ab, state_bc, a0, a1, c0, c1):
+    """Reference: one 64x64-entry np.kron operator and trace per table entry."""
+    rho = np.kron(state_ab.entries, state_bc.entries)
+    a_dirs = (a0, a1)
+    c_dirs = (c0, c1)
+    table = {}
+    for x, z in product(range(2), range(2)):
+        row = np.empty((2, 4, 2))
+        proj_a = [_kron_projector(a_dirs[x], a) for a in range(2)]
+        proj_c = [_kron_projector(c_dirs[z], c) for c in range(2)]
+        for a, k, c in product(range(2), range(4), range(2)):
+            op = np.kron(np.kron(proj_a[a], _KRON_BELL[k]), proj_c[c])
+            row[a, k, c] = np.trace(op @ rho).real
+        table[(x, z)] = row
+    return table
+
+
+def _kron_pair_distribution(state, first, second):
+    """Reference: one np.kron operator and trace per pair outcome."""
+    out = np.empty((2, 2))
+    for o1, o2 in product(range(2), range(2)):
+        op = np.kron(_kron_projector(first, o1), _kron_projector(second, o2))
+        out[o1, o2] = np.trace(op @ state.entries).real
+    return out
+
+
+def _kron_outcome_distribution(state_ab, state_bc, s):
+    """Reference: parity rows accumulated outer product by outer product."""
+    table = {}
+    for x, y, z in product(range(2), range(2), range(2)):
+        left = _kron_pair_distribution(state_ab, (s.a0, s.a1)[x], (s.bA0, s.bA1)[y])
+        right = _kron_pair_distribution(state_bc, (s.bC0, s.bC1)[y], (s.c0, s.c1)[z])
+        row = np.zeros((2, 2, 2))
+        for beta_a, beta_c in product(range(2), range(2)):
+            row[:, beta_a ^ beta_c, :] += np.outer(left[:, beta_a], right[beta_c, :])
+        table[(x, y, z)] = row
+    return table
+
+
+def test_kron_matches_numpy_kron_exactly():
+    rng = np.random.default_rng(127)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    a, b = cplx(2, 3), cplx(4, 2)
+    assert np.array_equal(kron(a, b), np.kron(a, b))
+    batch_a, batch_b = cplx(3, 1, 2, 2), cplx(5, 4, 4)
+    got = kron(batch_a, batch_b)
+    assert got.shape == (3, 5, 8, 8)
+    for i, j in product(range(3), range(5)):
+        assert np.array_equal(got[i, j], np.kron(batch_a[i, 0], batch_b[j]))
+
+
+def test_stacked_tables_equal_the_kron_reference_bit_for_bit():
+    rng = np.random.default_rng(131)
+    for _ in range(200):
+        s = int(rng.integers(0, 2**62))
+        state_ab, state_bc = random_state(s), random_state(s + 1)
+        dirs = [random_unit_vector(rng) for _ in range(4)]
+        got = bsm_distribution(state_ab, state_bc, *dirs).table
+        want = _kron_bsm_distribution(state_ab, state_bc, *dirs)
+        assert all(np.array_equal(got[k], want[k]) for k in want)
+        settings = BilocalSettings(
+            a0=dirs[0], a1=dirs[1], bA0=dirs[2], bA1=np.cross(dirs[2], dirs[3]),
+            bC0=dirs[3], bC1=np.cross(dirs[3], dirs[0]), c0=dirs[2], c1=dirs[3],
+        )
+        got = outcome_distribution(state_ab, state_bc, settings).table
+        want = _kron_outcome_distribution(state_ab, state_bc, settings)
+        assert all(np.array_equal(got[k], want[k]) for k in want)
+
+
+def test_directions_within_the_norm_tolerance_are_used_as_given():
+    dirs = [np.array(ZX.a0) * (1.0 + 1e-10), ZX.a1, ZX.c0, ZX.c1]
+    state_ab, state_bc = random_state(5), random_state(6)
+    got = bsm_distribution(state_ab, state_bc, *dirs).table
+    want = _kron_bsm_distribution(state_ab, state_bc, *dirs)
+    assert all(np.array_equal(got[k], want[k]) for k in want)
+
+
+@pytest.mark.parametrize(
+    "seed, residual_hex",
+    [
+        (11, "0x1.6000000000000p-54"),
+        (2024, "0x1.9000000000000p-54"),
+        (987654321, "0x1.2000000000000p-54"),
+    ],
+)
+def test_theorem1_residual_bits_are_pinned(seed, residual_hex):
+    # The residual is pure rounding noise, so any reordering of the
+    # simulation's arithmetic shows up in its last bits.
+    rng = np.random.default_rng(seed)
+    dirs = [random_unit_vector(rng) for _ in range(4)]
+    residual = theorem1_check(random_state(seed), random_state(seed + 1), *dirs)
+    assert residual.hex() == residual_hex
