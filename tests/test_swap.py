@@ -21,6 +21,7 @@ from qnetmax.errors import (
     ValidationError,
 )
 from qnetmax.qstate import (
+    BELL_KETS,
     PAULIS,
     bell_state,
     make_state,
@@ -29,7 +30,6 @@ from qnetmax.qstate import (
     random_unitary,
     werner_state,
 )
-from qnetmax.qstate import BELL_KETS
 from qnetmax.swap import (
     BELL_OUTCOME_BITS,
     BELL_OUTCOME_ORDER,
