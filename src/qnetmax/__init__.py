@@ -41,6 +41,7 @@ from .criteria import (
     t_spectrum,
 )
 from .errors import (
+    ClosedFormExceededError,
     EmptyNetworkError,
     MissingInputTupleError,
     NoConvergenceError,
@@ -74,6 +75,7 @@ from .qstate import (
     bloch_vectors,
     colored_noise_state,
     correlation_matrix,
+    load_json,
     load_state,
     make_state,
     random_state,

@@ -9,6 +9,7 @@ way around.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 from .criteria import chsh_from_spectrum, pair_from_spectra, t_spectrum
@@ -57,29 +58,18 @@ def classify_pair(state_ab: TwoQubitState, state_bc: TwoQubitState) -> RegionFla
     )
 
 
-def werner_scan(grid: Iterable[tuple[float, float]]) -> list[ScanRow]:
-    """Scan (v_ab, v_bc) visibility pairs of two noisy singlets.
-
-    With both maxima analytic (S = v sqrt(2), B = sqrt(2 v_ab v_bc)), a pair
-    is flagged non-bilocal exactly when 2 v_ab v_bc > 1.
-    """
-    spectra = {}
-
-    def spectrum_of(v: float):
-        if v not in spectra:
-            spectra[v] = t_spectrum(correlation_matrix(werner_state(v)))
-        return spectra[v]
-
+def _scan(grid: Iterable[tuple[float, float]], names: tuple[str, str], spectra) -> list[ScanRow]:
+    """One row per grid point (p, q); spectra(p, q) gives the (AB, BC) t-spectra."""
     rows = []
-    for v_ab, v_bc in grid:
-        sa = spectrum_of(float(v_ab))
-        sc = spectrum_of(float(v_bc))
+    for p, q in grid:
+        params = (float(p), float(q))
+        sa, sc = spectra(*params)
         s_ab = chsh_from_spectrum(sa)
         s_bc = chsh_from_spectrum(sc)
         b_max = pair_from_spectra(sa, sc)
         rows.append(
             ScanRow(
-                params=(("v_ab", float(v_ab)), ("v_bc", float(v_bc))),
+                params=tuple(zip(names, params)),
                 s_ab=s_ab,
                 s_bc=s_bc,
                 b_max=b_max,
@@ -89,27 +79,20 @@ def werner_scan(grid: Iterable[tuple[float, float]]) -> list[ScanRow]:
     return rows
 
 
+def werner_scan(grid: Iterable[tuple[float, float]]) -> list[ScanRow]:
+    """Scan (v_ab, v_bc) visibility pairs of two noisy singlets.
+
+    With both maxima analytic (S = v sqrt(2), B = sqrt(2 v_ab v_bc)), a pair
+    is flagged non-bilocal exactly when 2 v_ab v_bc > 1.
+    """
+    spectrum = cache(lambda v: t_spectrum(correlation_matrix(werner_state(v))))
+    return _scan(grid, ("v_ab", "v_bc"), lambda v_ab, v_bc: (spectrum(v_ab), spectrum(v_bc)))
+
+
 def colored_scan(grid: Iterable[tuple[float, float]]) -> list[ScanRow]:
     """Scan (v, lambda) with both sources the same colored-noise state."""
-    spectra = {}
-    rows = []
-    for v, lam in grid:
-        key = (float(v), float(lam))
-        if key not in spectra:
-            spectra[key] = t_spectrum(correlation_matrix(colored_noise_state(*key)))
-        sp = spectra[key]
-        s = chsh_from_spectrum(sp)
-        b_max = pair_from_spectra(sp, sp)
-        rows.append(
-            ScanRow(
-                params=(("v", key[0]), ("lambda", key[1])),
-                s_ab=s,
-                s_bc=s,
-                b_max=b_max,
-                flags=classify_values(s, s, b_max),
-            )
-        )
-    return rows
+    spectrum = cache(lambda v, lam: t_spectrum(correlation_matrix(colored_noise_state(v, lam))))
+    return _scan(grid, ("v", "lambda"), lambda v, lam: (spectrum(v, lam),) * 2)
 
 
 def rows_to_csv(rows: Sequence[ScanRow]) -> str:

@@ -13,16 +13,22 @@ import json
 import math
 import os
 import sys
-from itertools import product
 
 import numpy as np
 
 from . import criteria, jacobi
 from .classify import colored_scan, rows_to_csv, werner_scan
 from .correlations import zx_diagonal_settings
-from .errors import NoConvergenceError, QnetmaxError, UnknownSuiteError, ValidationError
+from .errors import (
+    ClosedFormExceededError,
+    NoConvergenceError,
+    QnetmaxError,
+    SettingsFormatError,
+    UnknownSuiteError,
+)
 from .oracle import OptimizerConfig, maximize_bilocality, maximize_star
 from .qstate import (
+    load_json,
     load_state,
     random_state,
     random_unit_vector,
@@ -200,38 +206,31 @@ _COMPLETENESS_TOL = 1e-4
 _SOUNDNESS_TOL = 1e-7
 
 
-def _certified_gap(run) -> tuple[float, str]:
-    """Run an oracle maximization, returning (gap, status).
+def _gap_suite(seed: int, instances: int, restarts: int, maximize) -> dict:
+    """Certify maximize(i, inst_seed, config) on every instance and judge its gap.
 
     A non-converged run still certifies its best value, so its gap is judged
     against the same bounds.  A value beyond the closed form surfaces as the
-    certificate's rejection; its gap is recovered from the error payload and
-    reported as an overshoot instead of aborting the whole suite.
+    certificate's rejection, a ``ClosedFormExceededError`` whose gap is
+    counted as an overshoot instead of aborting the whole suite.
     """
-    try:
-        return run().gap, "ok"
-    except NoConvergenceError as exc:
-        return exc.certificate.gap, "nonconverged"
-    except ValidationError as exc:
-        gap = getattr(exc, "gap", None)
-        if gap is None:
-            raise
-        return gap, "overshoot"
-
-
-def _gap_suite(gaps_with_status) -> dict:
     worst_gap = -math.inf
     min_gap = math.inf
     failures = 0
     overshoots = 0
     nonconverged = 0
-    for gap, status in gaps_with_status:
+    for i, inst_seed in enumerate(_instance_seeds(seed, instances)):
+        config = OptimizerConfig(restarts=restarts, seed=inst_seed)
+        try:
+            gap = maximize(i, inst_seed, config).gap
+        except NoConvergenceError as exc:
+            gap = exc.certificate.gap
+            nonconverged += 1
+        except ClosedFormExceededError as exc:
+            gap = exc.gap
+            overshoots += 1
         worst_gap = max(worst_gap, gap)
         min_gap = min(min_gap, gap)
-        if status == "overshoot":
-            overshoots += 1
-        elif status == "nonconverged":
-            nonconverged += 1
         if gap > _COMPLETENESS_TOL or gap < -_SOUNDNESS_TOL:
             failures += 1
     return {
@@ -247,25 +246,18 @@ def _gap_suite(gaps_with_status) -> dict:
 
 
 def _suite_theorem3(seed: int, instances: int, restarts: int) -> dict:
-    def one(inst_seed):
-        state_ab = random_state(inst_seed)
-        state_bc = random_state(inst_seed + 1)
-        config = OptimizerConfig(restarts=restarts, seed=inst_seed)
-        return _certified_gap(lambda: maximize_bilocality(state_ab, state_bc, config))
+    def maximize(i, inst_seed, config):
+        return maximize_bilocality(random_state(inst_seed), random_state(inst_seed + 1), config)
 
-    return _gap_suite(one(s) for s in _instance_seeds(seed, instances))
+    return _gap_suite(seed, instances, restarts, maximize)
 
 
 def _suite_theorem4(seed: int, instances: int, restarts: int) -> dict:
-    def one(i, inst_seed):
+    def maximize(i, inst_seed, config):
         n = 3 if i % 2 == 0 else 4
-        states = [random_state(inst_seed + j) for j in range(n)]
-        config = OptimizerConfig(restarts=restarts, seed=inst_seed)
-        return _certified_gap(lambda: maximize_star(states, config))
+        return maximize_star([random_state(inst_seed + j) for j in range(n)], config)
 
-    return _gap_suite(
-        one(i, s) for i, s in enumerate(_instance_seeds(seed, instances))
-    )
+    return _gap_suite(seed, instances, restarts, maximize)
 
 
 def _suite_lemma2(seed: int, instances: int, restarts: int) -> dict:
@@ -347,6 +339,8 @@ def cmd_verify(args) -> int:
         )
     if args.instances < 1:
         raise QnetmaxError(f"--instances must be >= 1, got {args.instances}")
+    if seed < 0:
+        raise QnetmaxError(f"the seed must be >= 0, got {seed}")
     summary = _SUITES[args.suite](seed, args.instances, args.restarts)
     report = {
         "seed": seed,
@@ -370,12 +364,7 @@ def cmd_swap_sim(args) -> int:
     state_ab = load_state(args.state_ab)
     state_bc = load_state(args.state_bc)
     if args.settings is not None:
-        try:
-            with open(args.settings, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise QnetmaxError(f"{args.settings}: invalid JSON: {exc}") from exc
-        a0, a1, c0, c1 = swap_settings_from_json(data)
+        a0, a1, c0, c1 = load_json(args.settings, swap_settings_from_json, SettingsFormatError)
         settings_label = os.path.basename(args.settings)
     else:
         print(
@@ -452,10 +441,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except QnetmaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (QnetmaxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

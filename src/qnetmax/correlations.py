@@ -71,13 +71,14 @@ def validated_rows(table: dict, shape: tuple[int, ...] | None = None) -> dict:
     """Read-only float copies of an outcome table's rows, keyed by integer tuples.
 
     Every row must be finite, nonnegative within 1e-12 and sum to 1 within
-    1e-12, and have the given shape when one is named.
+    1e-12, and have the given shape; without one, a binary axis per input.
     """
     rows = {}
     for inputs, row in table.items():
         row = np.array(row, dtype=np.float64)
-        if shape is not None and row.shape != shape:
-            raise ValidationError(f"row at {inputs} must have shape {shape}")
+        expected = shape or (2,) * len(inputs)
+        if row.shape != expected:
+            raise ValidationError(f"row at {inputs} must have shape {expected}")
         total = float(row.sum())
         if not math.isfinite(total):
             raise ValidationError(f"non-finite probability at inputs {inputs}")
@@ -262,14 +263,14 @@ def outcome_distribution(
     )
 
 
-_SIGNS3 = np.array(
+PARITY_SIGNS = np.array(
     [[[(-1.0) ** (a + b + c) for c in range(2)] for b in range(2)] for a in range(2)]
 )
 
 
 def correlator_from_distribution(dist: OutcomeDistribution, x: int, y: int, z: int) -> float:
     """Three-party correlator sum_{abc} (-1)^(a+b+c) p(a,b,c|x,y,z)."""
-    return float((dist.row((x, y, z)) * _SIGNS3).sum())
+    return float((dist.row((x, y, z)) * PARITY_SIGNS).sum())
 
 
 def star_value(
@@ -321,20 +322,25 @@ def parse_direction(value, key: str) -> np.ndarray:
     return unit_vector(arr)
 
 
+def directions_from_json(data, keys: tuple[str, ...]) -> tuple[np.ndarray, ...]:
+    """Parse a flat settings object holding exactly the given direction keys, in key order."""
+    if not isinstance(data, dict):
+        raise SettingsFormatError("settings document must be a JSON object")
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise SettingsFormatError(f"unknown settings field '{unknown[0]}'")
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise SettingsFormatError(f"missing settings field '{missing[0]}'")
+    return tuple(parse_direction(data[k], k) for k in keys)
+
+
 _BILOCAL_KEYS = ("a0", "a1", "bA0", "bA1", "bC0", "bC1", "c0", "c1")
 
 
 def bilocal_settings_from_json(data) -> BilocalSettings:
     """Parse {"a0": [..], ..., "c1": [..]} into BilocalSettings."""
-    if not isinstance(data, dict):
-        raise SettingsFormatError("settings document must be a JSON object")
-    unknown = sorted(set(data) - set(_BILOCAL_KEYS))
-    if unknown:
-        raise SettingsFormatError(f"unknown settings field '{unknown[0]}'")
-    missing = [k for k in _BILOCAL_KEYS if k not in data]
-    if missing:
-        raise SettingsFormatError(f"missing settings field '{missing[0]}'")
-    return BilocalSettings(**{k: parse_direction(data[k], k) for k in _BILOCAL_KEYS})
+    return BilocalSettings(*directions_from_json(data, _BILOCAL_KEYS))
 
 
 _BRANCH_KEYS = ("a0", "a1", "b0", "b1")

@@ -31,6 +31,18 @@ class ParameterOutOfRangeError(ValidationError):
     """A family parameter lies outside its admissible interval."""
 
 
+class ClosedFormExceededError(ValidationError):
+    """An optimizer value beats its closed form; carries best_value, closed_form, gap."""
+
+    def __init__(self, best_value: float, closed_form: float, gap: float):
+        super().__init__(
+            f"numerical value {best_value!r} exceeds closed form {closed_form!r} by {-gap:.3e}"
+        )
+        self.best_value = float(best_value)
+        self.closed_form = float(closed_form)
+        self.gap = float(gap)
+
+
 class StateFormatError(QnetmaxError, ValueError):
     """A state document does not follow the JSON state schema."""
 

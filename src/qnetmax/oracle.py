@@ -32,7 +32,12 @@ from .correlations import (
     star_value,
     zx_diagonal_settings,
 )
-from .errors import EmptyNetworkError, NoConvergenceError, ValidationError
+from .errors import (
+    ClosedFormExceededError,
+    EmptyNetworkError,
+    NoConvergenceError,
+    ValidationError,
+)
 from .qstate import TwoQubitState, correlation_matrix, unit_vector
 
 _GRID_POINTS = 16
@@ -98,16 +103,7 @@ class OptimumCertificate:
 
     def __post_init__(self):
         if self.gap < -_GAP_SLACK:
-            exc = ValidationError(
-                f"numerical value {self.best_value!r} exceeds closed form "
-                f"{self.closed_form!r} by {-self.gap:.3e}"
-            )
-            # Structured payload so callers (e.g. verify suites) can report
-            # the excess without parsing the message.
-            exc.best_value = float(self.best_value)
-            exc.closed_form = float(self.closed_form)
-            exc.gap = float(self.gap)
-            raise exc
+            raise ClosedFormExceededError(self.best_value, self.closed_form, self.gap)
 
 
 def _unit_rows(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
@@ -351,9 +347,48 @@ class _ProductAscent:
         return int(np.argmax(self.val))
 
 
-def _branch_directions(ascent: _ProductAscent, idx: int) -> list[tuple[np.ndarray, ...]]:
-    """Per-branch (a0, a1, b0, b1) unit vectors at the given restart's optimum."""
-    out = []
+def _is_degenerate(mats: Sequence[np.ndarray]) -> bool:
+    return any(float(np.abs(m).max()) < _DEGENERATE_TOL for m in mats)
+
+
+def _degenerate_certificate(settings, closed: float) -> OptimumCertificate:
+    """Certificate for a source without correlations: every value is 0."""
+    return OptimumCertificate(
+        best_value=0.0,
+        best_settings=settings,
+        closed_form=closed,
+        gap=closed,
+        degenerate=True,
+    )
+
+
+def _certificate(
+    kind: str, best: float, settings, closed: float, converged: bool, config: OptimizerConfig
+) -> OptimumCertificate:
+    """Certify the replayed best value; raise NoConvergenceError carrying it if unconverged."""
+    cert = OptimumCertificate(
+        best_value=best,
+        best_settings=settings,
+        closed_form=closed,
+        gap=closed - best,
+    )
+    if not converged:
+        raise NoConvergenceError(
+            f"{kind} optimizer hit max_iters={config.max_iters} before tolerance "
+            f"{config.obj_tol:g}; best value {best!r}, gap {cert.gap:.3e}",
+            certificate=cert,
+        )
+    return cert
+
+
+def _ascend(
+    mats: Sequence[np.ndarray], config: OptimizerConfig
+) -> tuple[list[tuple[np.ndarray, ...]], bool]:
+    """Run the ascent: the best restart's per-branch (a0, a1, b0, b1) and its converged flag."""
+    ascent = _ProductAscent(mats, config)
+    ascent.run()
+    idx = ascent.best_index()
+    directions = []
     for j in range(ascent.n):
         cos_a = float(np.cos(ascent.alpha[idx, j]))
         sin_a = float(np.sin(ascent.alpha[idx, j]))
@@ -361,12 +396,8 @@ def _branch_directions(ascent: _ProductAscent, idx: int) -> list[tuple[np.ndarra
         np_vec = ascent.np_out[idx, j, :]
         a0 = cos_a * n_vec + sin_a * np_vec
         a1 = cos_a * n_vec - sin_a * np_vec
-        out.append((a0, a1, ascent.b0[idx, j, :], ascent.b1[idx, j, :]))
-    return out
-
-
-def _is_degenerate(mats: Sequence[np.ndarray]) -> bool:
-    return any(float(np.abs(m).max()) < _DEGENERATE_TOL for m in mats)
+        directions.append((a0, a1, ascent.b0[idx, j, :], ascent.b1[idx, j, :]))
+    return directions, bool(ascent.converged[idx])
 
 
 def maximize_bilocality(
@@ -381,34 +412,13 @@ def maximize_bilocality(
     t_bc = correlation_matrix(state_bc).t
     mats = [t_ab, t_bc.T]
     if _is_degenerate(mats):
-        return OptimumCertificate(
-            best_value=0.0,
-            best_settings=zx_diagonal_settings(),
-            closed_form=closed,
-            gap=closed,
-            degenerate=True,
-        )
-    ascent = _ProductAscent(mats, config)
-    ascent.run()
-    idx = ascent.best_index()
-    (a0, a1, ba0, ba1), (c0, c1, bc0, bc1) = _branch_directions(ascent, idx)
+        return _degenerate_certificate(zx_diagonal_settings(), closed)
+    ((a0, a1, ba0, ba1), (c0, c1, bc0, bc1)), converged = _ascend(mats, config)
     settings = BilocalSettings(
         a0=a0, a1=a1, bA0=ba0, bA1=ba1, bC0=bc0, bC1=bc1, c0=c0, c1=c1
     )
     best = bilocality_value(state_ab, state_bc, settings)[2]
-    cert = OptimumCertificate(
-        best_value=best,
-        best_settings=settings,
-        closed_form=closed,
-        gap=closed - best,
-    )
-    if not bool(ascent.converged[idx]):
-        raise NoConvergenceError(
-            f"pair optimizer hit max_iters={config.max_iters} before tolerance "
-            f"{config.obj_tol:g}; best value {best!r}, gap {cert.gap:.3e}",
-            certificate=cert,
-        )
-    return cert
+    return _certificate("pair", best, settings, closed, converged, config)
 
 
 def maximize_star(
@@ -421,52 +431,28 @@ def maximize_star(
     closed form is the paper's ``criteria.star_max``: equal to
     ``criteria.star_supremum`` for n = 2, but for n >= 3 a stationary value
     that skewed sources exceed, in which case the certificate is rejected
-    with a ``ValidationError`` carrying ``best_value`` and ``gap``.
+    with a ``ClosedFormExceededError`` carrying ``best_value`` and ``gap``.
     """
     states = list(states)
     if not states:
         raise EmptyNetworkError("star network needs at least one source state")
     if len(states) == 1:
-        raise ValueError("star maximization needs at least two sources; use maximize_chsh")
+        raise ValidationError("star maximization needs at least two sources; use maximize_chsh")
     config = config or OptimizerConfig()
     closed = criteria.star_max(states)
     mats = [correlation_matrix(s).t for s in states]
     if _is_degenerate(mats):
-        branch = StarBranch(
-            a0=(1.0 / math.sqrt(2.0), 0.0, 1.0 / math.sqrt(2.0)),
-            a1=(-1.0 / math.sqrt(2.0), 0.0, 1.0 / math.sqrt(2.0)),
-            b0=Z_AXIS,
-            b1=X_AXIS,
+        zx = zx_diagonal_settings()
+        branch = StarBranch(a0=zx.a0, a1=zx.a1, b0=zx.bA0, b1=zx.bA1)
+        return _degenerate_certificate(StarSettings(branches=(branch,) * len(states)), closed)
+    directions, converged = _ascend(mats, config)
+    settings = StarSettings(
+        branches=tuple(
+            StarBranch(a0=a0, a1=a1, b0=b0, b1=b1) for a0, a1, b0, b1 in directions
         )
-        return OptimumCertificate(
-            best_value=0.0,
-            best_settings=StarSettings(branches=tuple(branch for _ in states)),
-            closed_form=closed,
-            gap=closed,
-            degenerate=True,
-        )
-    ascent = _ProductAscent(mats, config)
-    ascent.run()
-    idx = ascent.best_index()
-    branches = tuple(
-        StarBranch(a0=a0, a1=a1, b0=b0, b1=b1)
-        for a0, a1, b0, b1 in _branch_directions(ascent, idx)
     )
-    settings = StarSettings(branches=branches)
     best = star_value(states, settings)[2]
-    cert = OptimumCertificate(
-        best_value=best,
-        best_settings=settings,
-        closed_form=closed,
-        gap=closed - best,
-    )
-    if not bool(ascent.converged[idx]):
-        raise NoConvergenceError(
-            f"star optimizer hit max_iters={config.max_iters} before tolerance "
-            f"{config.obj_tol:g}; best value {best!r}, gap {cert.gap:.3e}",
-            certificate=cert,
-        )
-    return cert
+    return _certificate("star", best, settings, closed, converged, config)
 
 
 def chsh_value(state: TwoQubitState, settings: ChshSettings) -> float:
@@ -483,14 +469,9 @@ def maximize_chsh(
     config = config or OptimizerConfig()
     closed = criteria.chsh_max(state)
     t = correlation_matrix(state).t
-    fallback_settings = ChshSettings(u0=Z_AXIS, u1=X_AXIS, v0=Z_AXIS, v1=X_AXIS)
-    if float(np.abs(t).max()) < _DEGENERATE_TOL:
-        return OptimumCertificate(
-            best_value=0.0,
-            best_settings=fallback_settings,
-            closed_form=closed,
-            gap=closed,
-            degenerate=True,
+    if _is_degenerate([t]):
+        return _degenerate_certificate(
+            ChshSettings(u0=Z_AXIS, u1=X_AXIS, v0=Z_AXIS, v1=X_AXIS), closed
         )
     rng = np.random.default_rng(config.seed)
     fallback = np.array([0.0, 0.0, 1.0])
@@ -516,19 +497,7 @@ def maximize_chsh(
     idx = int(np.argmax(val))
     settings = ChshSettings(u0=u0[idx], u1=u1[idx], v0=v0[idx], v1=v1[idx])
     best = chsh_value(state, settings)
-    cert = OptimumCertificate(
-        best_value=best,
-        best_settings=settings,
-        closed_form=closed,
-        gap=closed - best,
-    )
-    if not bool(converged[idx]):
-        raise NoConvergenceError(
-            f"CHSH optimizer hit max_iters={config.max_iters} before tolerance "
-            f"{config.obj_tol:g}; best value {best!r}, gap {cert.gap:.3e}",
-            certificate=cert,
-        )
-    return cert
+    return _certificate("CHSH", best, settings, closed, bool(converged[idx]), config)
 
 
 def stationarity_tangents(settings) -> tuple[float, ...]:

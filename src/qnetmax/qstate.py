@@ -17,6 +17,7 @@ from .errors import (
     NotHermitianError,
     NotPSDError,
     ParameterOutOfRangeError,
+    SettingsFormatError,
     StateFormatError,
     TraceNotOneError,
     ValidationError,
@@ -109,7 +110,7 @@ def bell_state(which: str) -> TwoQubitState:
     try:
         ket = BELL_KETS[which]
     except KeyError:
-        raise ValueError(
+        raise ParameterOutOfRangeError(
             f"unknown Bell state {which!r}; expected one of {sorted(BELL_KETS)}"
         ) from None
     return TwoQubitState(np.outer(ket, ket.conj()), label=f"bell:{which}")
@@ -300,7 +301,7 @@ def state_from_json(data) -> TwoQubitState:
         raise StateFormatError("state document must be a JSON object")
     if "family" in data:
         family = data["family"]
-        if family not in _FAMILY_FIELDS:
+        if not isinstance(family, str) or family not in _FAMILY_FIELDS:
             raise StateFormatError(
                 f"unknown family {family!r}; expected one of {sorted(_FAMILY_FIELDS)}"
             )
@@ -313,7 +314,7 @@ def state_from_json(data) -> TwoQubitState:
         if family == "colored":
             return colored_noise_state(_require_number(data, "v"), _require_number(data, "lambda"))
         which = data.get("which")
-        if which not in BELL_KETS:
+        if not isinstance(which, str) or which not in BELL_KETS:
             raise StateFormatError(
                 f"field 'which' must be one of {sorted(BELL_KETS)}, got {which!r}"
             )
@@ -330,14 +331,24 @@ def state_from_json(data) -> TwoQubitState:
     raise StateFormatError("state object needs either 'family' or 're'/'im' fields")
 
 
-def load_state(path) -> TwoQubitState:
-    """Read and validate a state JSON file."""
+def load_json(path, parse, error: type[Exception]):
+    """Read a JSON file and return ``parse(document)``, naming the path in input errors.
+
+    A file that is not valid UTF-8 JSON, or nests too deeply to decode,
+    raises ``error``; a format or validation error from ``parse`` is raised
+    again as its own type.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise StateFormatError(f"{path}: invalid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path}: invalid JSON: {exc}") from exc
     try:
-        return state_from_json(data)
-    except (StateFormatError, ValidationError) as exc:
+        return parse(data)
+    except (StateFormatError, SettingsFormatError, ValidationError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
+
+
+def load_state(path) -> TwoQubitState:
+    """Read and validate a state JSON file."""
+    return load_json(path, state_from_json, StateFormatError)

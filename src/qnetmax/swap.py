@@ -16,17 +16,19 @@ from itertools import product
 import numpy as np
 
 from .correlations import (
+    PARITY_SIGNS,
     BilocalSettings,
     X_AXIS,
     Z_AXIS,
     correlator_from_distribution,
+    directions_from_json,
     expectations,
     kron,
     outcome_distribution,
     projectors,
     validated_rows,
 )
-from .errors import MissingInputTupleError, SettingsFormatError
+from .errors import MissingInputTupleError
 from .qstate import BELL_KETS, PAULI_X, PAULI_Z, TwoQubitState, require_unit_vector
 
 # Outcome index k <-> Bell vector and reported bits (b0, b1).  The signs
@@ -98,14 +100,9 @@ def bsm_distribution(
     return BsmDistribution(table)
 
 
-_BSM_SIGNS = np.array(
-    [
-        [
-            [[(-1.0) ** a * (-1.0) ** BELL_OUTCOME_BITS[k][y] * (-1.0) ** c for c in range(2)] for k in range(4)]
-            for a in range(2)
-        ]
-        for y in range(2)
-    ]
+# _BSM_SIGNS[y, a, k, c] = (-1)^(a + b + c) with b the y-th bit of Bell outcome k.
+_BSM_SIGNS = np.ascontiguousarray(
+    PARITY_SIGNS[:, np.array(BELL_OUTCOME_BITS).T, :].transpose(1, 0, 2, 3)
 )
 
 
@@ -168,22 +165,9 @@ def distribution_to_csv(dist: BsmDistribution) -> str:
     return "\n".join(lines) + "\n"
 
 
-_SWAP_SETTINGS_KEYS = ("a0", "a1", "c0", "c1")
-
-
 def swap_settings_from_json(data) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Parse {"a0": [..], "a1": [..], "c0": [..], "c1": [..]} end-station settings."""
-    from .correlations import parse_direction
-
-    if not isinstance(data, dict):
-        raise SettingsFormatError("settings document must be a JSON object")
-    unknown = sorted(set(data) - set(_SWAP_SETTINGS_KEYS))
-    if unknown:
-        raise SettingsFormatError(f"unknown settings field '{unknown[0]}'")
-    missing = [k for k in _SWAP_SETTINGS_KEYS if k not in data]
-    if missing:
-        raise SettingsFormatError(f"missing settings field '{missing[0]}'")
-    return tuple(parse_direction(data[k], k) for k in _SWAP_SETTINGS_KEYS)
+    return directions_from_json(data, ("a0", "a1", "c0", "c1"))
 
 
 def observable_identity_residual() -> float:

@@ -275,6 +275,19 @@ def test_verify_rejects_fewer_than_one_instance(capsys, instances):
     assert "--instances must be >= 1" in captured.err
 
 
+@pytest.mark.parametrize("suite", sorted(cli._SUITES))
+@pytest.mark.parametrize("flag, env", [(["--seed", "-1"], None), ([], "-3")], ids=["flag", "env"])
+def test_verify_rejects_a_negative_seed(capsys, monkeypatch, suite, flag, env):
+    monkeypatch.delenv("QNETMAX_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("QNETMAX_SEED", env)
+    code = main(["verify", "--suite", suite, "--instances", "1", *flag])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed must be >= 0" in captured.err
+
+
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "--suite", "theorem9"]) == 2
     assert "unknown suite" in capsys.readouterr().err
@@ -349,6 +362,32 @@ def test_swap_sim_rejects_bad_settings_json(capsys, state_files, tmp_path):
     )
     assert code == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_swap_sim_settings_errors_name_the_file(capsys, state_files, tmp_path):
+    settings = tmp_path / "three_keys.json"
+    settings.write_text(json.dumps({"a0": [0, 0, 1], "a1": [1, 0, 0], "c0": [0, 0, 1]}))
+    code = main(
+        ["swap-sim", state_files["singlet"], state_files["singlet"], "--settings", str(settings)]
+    )
+    assert code == 2
+    assert "three_keys.json: missing settings field 'c1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "swap-sim"])
+def test_undecodable_input_file_is_an_input_error(state_files, tmp_path, command):
+    bad = tmp_path / "undecodable.json"
+    bad.write_bytes(b"\xff")
+    if command == "analyze":
+        argv = ["analyze", str(bad)]
+    else:
+        argv = ["swap-sim", state_files["singlet"], state_files["singlet"], "--settings", str(bad)]
+    result = subprocess.run(
+        [sys.executable, "-m", "qnetmax", *argv], capture_output=True, text=True
+    )
+    assert result.returncode == 2
+    assert "error:" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,16 @@ def test_distribution_rejects_bad_rows():
         OutcomeDistribution({(0, 0, 0): np.full((2, 2, 2), 0.2)})
 
 
+@pytest.mark.parametrize(
+    "row",
+    [[[0.7, 0.1], [0.1, 0.1]], np.full(16, 1.0 / 16.0)],
+    ids=["two-axes", "flat-16"],
+)
+def test_distribution_rejects_rows_without_one_binary_axis_per_input(row):
+    with pytest.raises(ValidationError, match="shape"):
+        OutcomeDistribution({(0, 0, 0): row})
+
+
 def test_missing_input_tuple():
     dist = OutcomeDistribution({(0, 0, 0): np.full((2, 2, 2), 0.125)})
     with pytest.raises(MissingInputTupleError):

@@ -20,8 +20,10 @@ from qnetmax.correlations import (
 )
 from qnetmax.criteria import star_max
 from qnetmax.errors import (
+    ClosedFormExceededError,
     EmptyNetworkError,
     NoConvergenceError,
+    QnetmaxError,
     ValidationError,
 )
 from qnetmax.oracle import (
@@ -63,7 +65,7 @@ def test_config_rejects_bad_values(kwargs):
 
 
 def test_certificate_rejects_value_above_closed_form():
-    with pytest.raises(ValidationError, match="exceeds closed form") as info:
+    with pytest.raises(ClosedFormExceededError, match="exceeds closed form") as info:
         OptimumCertificate(
             best_value=1.1,
             best_settings=zx_diagonal_settings(),
@@ -133,6 +135,43 @@ def test_pair_optimum_is_bit_stable(seed, value_hex):
         random_state(seed), random_state(seed + 1), OptimizerConfig(seed=seed)
     )
     assert cert.best_value.hex() == value_hex
+
+
+@pytest.mark.parametrize(
+    "seed,n,value_hex",
+    [
+        (11, 3, "0x1.6f9d0b97c3da1p-1"),
+        (2024, 4, "0x1.4014e2e18ebc4p-1"),
+        (987654321, 3, "0x1.45169d35a9618p-1"),
+    ],
+)
+def test_star_optimum_is_bit_stable(seed, n, value_hex):
+    cert = maximize_star(
+        [random_state(seed + j) for j in range(n)], OptimizerConfig(seed=seed)
+    )
+    assert cert.best_value.hex() == value_hex
+
+
+@pytest.mark.parametrize(
+    "seed,value_hex",
+    [
+        (11, "0x1.bf6562f04b31cp-1"),
+        (2024, "0x1.ee28883c24f00p-2"),
+        (987654321, "0x1.4923866c9a4a4p-1"),
+    ],
+)
+def test_chsh_optimum_is_bit_stable(seed, value_hex):
+    cert = maximize_chsh(random_state(seed), OptimizerConfig(seed=seed))
+    assert cert.best_value.hex() == value_hex
+
+
+def test_non_convergence_message_is_pinned():
+    with pytest.raises(NoConvergenceError) as info:
+        maximize_chsh(random_state(5), OptimizerConfig(restarts=4, max_iters=1, seed=3))
+    assert str(info.value) == (
+        "CHSH optimizer hit max_iters=1 before tolerance 1e-10; "
+        "best value 0.7178051571765423, gap 3.785e-02"
+    )
 
 
 def test_structured_restart_is_optimal_after_one_cycle():
@@ -207,8 +246,9 @@ def test_empty_star_raises():
 
 
 def test_single_branch_star_redirects_to_chsh():
-    with pytest.raises(ValueError, match="use maximize_chsh"):
+    with pytest.raises(ValueError, match="use maximize_chsh") as info:
         maximize_star([werner_state(0.9)])
+    assert isinstance(info.value, QnetmaxError)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +274,7 @@ def test_explicit_settings_exceed_three_branch_closed_form():
 
 
 def test_optimizer_detects_the_same_excess():
-    with pytest.raises(ValidationError, match="exceeds closed form") as info:
+    with pytest.raises(ClosedFormExceededError, match="exceeds closed form") as info:
         maximize_star(_skewed_triple(), FAST)
     assert info.value.gap < -0.02
     assert info.value.best_value == pytest.approx(

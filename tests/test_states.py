@@ -11,6 +11,7 @@ from qnetmax.errors import (
     NotHermitianError,
     NotPSDError,
     ParameterOutOfRangeError,
+    QnetmaxError,
     StateFormatError,
     TraceNotOneError,
     ValidationError,
@@ -93,8 +94,11 @@ def test_bell_states_are_pure_projectors():
 
 
 def test_bell_state_unknown_name():
-    with pytest.raises(ValueError, match="unknown Bell state"):
+    with pytest.raises(ValueError, match="unknown Bell state") as info:
         bell_state("sigma+")
+    assert isinstance(info.value, QnetmaxError)
+    with pytest.raises(ParameterOutOfRangeError, match="unknown Bell state"):
+        bell_state("chi")
 
 
 def test_werner_limits():
@@ -317,6 +321,8 @@ def test_state_from_json_matrix_form():
         ({"re": [[0.25] * 4] * 4, "im": [[0.0] * 4] * 4, "oops": 1}, "unknown field"),
         ({"label": 7, "re": [[0.25] * 4] * 4, "im": [[0.0] * 4] * 4}, "label"),
         ({}, "either 'family' or 're'/'im'"),
+        ({"family": ["werner"], "v": 0.5}, "unknown family"),
+        ({"family": "bell", "which": ["phi+"]}, "'which' must be one of"),
     ],
 )
 def test_state_from_json_rejections(doc, match):
@@ -346,6 +352,16 @@ def test_load_state_errors_carry_path(tmp_path):
     path2.write_text(json.dumps({"family": "werner", "v": 2.0}))
     with pytest.raises(ParameterOutOfRangeError, match="badstate.json"):
         load_state(path2)
+
+
+@pytest.mark.parametrize(
+    "content", [b"\xff", b"[" * 100_000], ids=["not-utf8", "nested-too-deeply"]
+)
+def test_load_state_rejects_undecodable_files(tmp_path, content):
+    path = tmp_path / "undecodable.json"
+    path.write_bytes(content)
+    with pytest.raises(StateFormatError, match="undecodable.json: invalid JSON"):
+        load_state(path)
 
 
 @settings(max_examples=50, deadline=None)
