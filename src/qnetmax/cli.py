@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -75,8 +76,8 @@ def _resolve_seed(args) -> int:
 _MAX_GRID_POINTS = 100_000
 
 
-def _parse_range(text: str) -> tuple[float, float, float, int]:
-    """(start, stop, step, point count) of one start:stop:step range."""
+def _grid_axis(text: str) -> list[float]:
+    """The points start, start + step, ... of one start:stop:step range, none past stop."""
     parts = text.split(":")
     if len(parts) != 3:
         raise QnetmaxError(f"grid range must be start:stop:step, got {text!r}")
@@ -95,16 +96,8 @@ def _parse_range(text: str) -> tuple[float, float, float, int]:
         raise QnetmaxError(
             f"grid range {text!r} exceeds the limit of {_MAX_GRID_POINTS} points"
         )
-    return start, stop, step, int(round(steps)) + 1
-
-
-def _range_values(start: float, stop: float, step: float, count: int) -> list[float]:
-    values = []
-    for i in range(count):
-        v = start + i * step
-        if v > stop and v - stop <= 1e-9 * max(1.0, abs(stop)):
-            v = stop
-        values.append(v)
+    values = [start + i * step for i in range(math.floor(steps + 1e-9) + 1)]
+    values[-1] = min(values[-1], stop)
     return values
 
 
@@ -116,29 +109,26 @@ def _range_values(start: float, stop: float, step: float, count: int) -> list[fl
 def cmd_analyze(args) -> int:
     seed = _resolve_seed(args)
     states = [load_state(path) for path in args.states]
-    report = {"seed": seed, "n_sources": len(states), "links": []}
-    spectra = []
-    for path, state in zip(args.states, states):
-        sp = criteria._spectrum_of(state)
-        spectra.append(sp)
-        s_max = criteria.chsh_from_spectrum(sp)
-        report["links"].append(
-            {
-                "label": state.label or os.path.basename(path),
-                "t_spectrum": list(sp.as_tuple()),
-                "chsh_max": s_max,
-                "chsh_violated": s_max > 1.0,
-            }
-        )
-    if len(states) >= 2:
-        joint = criteria.star_from_spectra(spectra)
+    net = criteria.network_report(states)
+    links = [
+        {
+            "label": state.label or os.path.basename(path),
+            "t_spectrum": list(sp.as_tuple()),
+            "chsh_max": s_max,
+            "chsh_violated": s_max > 1.0,
+        }
+        for path, state, sp, s_max in zip(args.states, states, net.spectra, net.chsh_per_link)
+    ]
+    report = {"seed": seed, "n_sources": len(states), "links": links}
+    joint = net.biloc_or_star
+    if joint is not None:
         report["star_max"] = joint
         report["nonbilocal"] = joint > 1.0
         if len(states) == 2:
             report["bilocality_max"] = joint
             report["flags"] = {
-                "ab_nonlocal": report["links"][0]["chsh_violated"],
-                "bc_nonlocal": report["links"][1]["chsh_violated"],
+                "ab_nonlocal": links[0]["chsh_violated"],
+                "bc_nonlocal": links[1]["chsh_violated"],
                 "nonbilocal": joint > 1.0,
             }
     _emit_json(report)
@@ -154,21 +144,16 @@ def cmd_scan(args) -> int:
     ranges = args.grid.split(",")
     if len(ranges) not in (1, 2):
         raise QnetmaxError(f"--grid takes one or two ranges, got {len(ranges)}")
-    axes = [_parse_range(text) for text in ranges]
-    first_axis, second_axis = axes[0], axes[-1]  # one range makes a square grid
-    points = first_axis[3] * second_axis[3]
+    axes = [_grid_axis(text) for text in ranges]
+    first, second = axes[0], axes[-1]  # one range makes a square grid
+    points = len(first) * len(second)
     if points > _MAX_GRID_POINTS:
         raise QnetmaxError(
             f"--grid has {points} points, above the limit of {_MAX_GRID_POINTS} points"
         )
-    first = _range_values(*first_axis)
-    second = _range_values(*second_axis)
     grid = [(a, b) for a in first for b in second]
-    if args.family == "werner":
-        rows = werner_scan(grid)
-    else:
-        rows = colored_scan(grid)
-    sys.stdout.write(rows_to_csv(rows))
+    scan = werner_scan if args.family == "werner" else colored_scan
+    sys.stdout.write(rows_to_csv(scan(grid)))
     return 0
 
 
@@ -182,24 +167,25 @@ def _instance_seeds(seed: int, instances: int) -> list[int]:
     return [int(s) for s in rng.integers(0, 2**62, size=instances)]
 
 
-def _suite_theorem1(seed: int, instances: int, restarts: int) -> dict:
-    rng = np.random.default_rng(seed)
-    tol = 1e-12
+def _max_residual(key: str, tol: float, residuals) -> dict:
+    """The worst residual under ``key``, the count of those above tol, and the verdict."""
     worst = 0.0
     failures = 0
-    for inst_seed in _instance_seeds(seed, instances):
-        state_ab = random_state(inst_seed)
-        state_bc = random_state(inst_seed + 1)
-        dirs = [random_unit_vector(rng) for _ in range(4)]
-        diff = theorem1_check(state_ab, state_bc, *dirs)
+    for diff in residuals:
         worst = max(worst, diff)
         failures += not diff <= tol
-    return {
-        "max_correlator_diff": worst,
-        "tolerance": tol,
-        "failures": failures,
-        "pass": failures == 0,
-    }
+    return {key: worst, "tolerance": tol, "failures": failures, "pass": failures == 0}
+
+
+def _suite_theorem1(seed: int, instances: int, restarts: int) -> dict:
+    rng = np.random.default_rng(seed)
+
+    def residuals():
+        for inst_seed in _instance_seeds(seed, instances):
+            dirs = [random_unit_vector(rng) for _ in range(4)]
+            yield theorem1_check(random_state(inst_seed), random_state(inst_seed + 1), *dirs)
+
+    return _max_residual("max_correlator_diff", 1e-12, residuals())
 
 
 _COMPLETENESS_TOL = 1e-4
@@ -262,24 +248,17 @@ def _suite_theorem4(seed: int, instances: int, restarts: int) -> dict:
 
 def _suite_lemma2(seed: int, instances: int, restarts: int) -> dict:
     rng = np.random.default_rng(seed)
-    tol = 1e-9
-    worst = 0.0
-    failures = 0
-    for _ in range(instances):
-        m = rng.uniform(-1.0, 1.0, size=(3, 3))
-        left = jacobi.eigvalsh_symmetric(m.T @ m)
-        right = jacobi.eigvalsh_symmetric(m @ m.T)
-        mask = (left > 1e-10) | (right > 1e-10)
-        if bool(np.any(mask)):
-            diff = float(np.abs(left - right)[mask].max())
-            worst = max(worst, diff)
-            failures += not diff <= tol
-    return {
-        "max_eigenvalue_diff": worst,
-        "tolerance": tol,
-        "failures": failures,
-        "pass": failures == 0,
-    }
+
+    def residuals():
+        for _ in range(instances):
+            m = rng.uniform(-1.0, 1.0, size=(3, 3))
+            left = jacobi.eigvalsh_symmetric(m.T @ m)
+            right = jacobi.eigvalsh_symmetric(m @ m.T)
+            mask = (left > 1e-10) | (right > 1e-10)
+            if bool(np.any(mask)):
+                yield float(np.abs(left - right)[mask].max())
+
+    return _max_residual("max_eigenvalue_diff", 1e-9, residuals())
 
 
 def _suite_lemma4(seed: int, instances: int, restarts: int) -> dict:
@@ -321,6 +300,9 @@ def _suite_prop1(seed: int, instances: int, restarts: int) -> dict:
     }
 
 
+# Most instances one verify run takes: every instance seed is drawn up front.
+_MAX_INSTANCES = 1_000_000
+
 _SUITES = {
     "theorem1": _suite_theorem1,
     "theorem3": _suite_theorem3,
@@ -337,16 +319,14 @@ def cmd_verify(args) -> int:
         raise UnknownSuiteError(
             f"unknown suite {args.suite!r}; expected one of {sorted(_SUITES)}"
         )
-    if args.instances < 1:
-        raise QnetmaxError(f"--instances must be >= 1, got {args.instances}")
+    if not 1 <= args.instances <= _MAX_INSTANCES:
+        raise QnetmaxError(
+            f"--instances must be >= 1 and <= {_MAX_INSTANCES}, got {args.instances}"
+        )
     if seed < 0:
         raise QnetmaxError(f"the seed must be >= 0, got {seed}")
     summary = _SUITES[args.suite](seed, args.instances, args.restarts)
-    report = {
-        "seed": seed,
-        "suite": args.suite,
-        "instances": args.instances,
-    }
+    report = {"seed": seed, "suite": args.suite, "instances": args.instances}
     if args.suite in ("theorem3", "theorem4"):
         report["restarts"] = args.restarts
     report.update(summary)
@@ -364,7 +344,11 @@ def cmd_swap_sim(args) -> int:
     state_ab = load_state(args.state_ab)
     state_bc = load_state(args.state_bc)
     if args.settings is not None:
-        a0, a1, c0, c1 = load_json(args.settings, swap_settings_from_json, SettingsFormatError)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            a0, a1, c0, c1 = load_json(args.settings, swap_settings_from_json, SettingsFormatError)
+        for warning in caught:
+            print(f"warning: {args.settings}: {warning.message}", file=sys.stderr)
         settings_label = os.path.basename(args.settings)
     else:
         print(

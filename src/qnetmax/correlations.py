@@ -26,6 +26,7 @@ from .qstate import (
     PAULIS,
     TwoQubitState,
     correlation_matrix,
+    json_number,
     unit_vector,
 )
 
@@ -304,22 +305,16 @@ def star_value(
 
 def parse_direction(value, key: str) -> np.ndarray:
     """Parse one JSON direction; warn and normalize when the norm is off."""
-    if (
-        not isinstance(value, list)
-        or len(value) != 3
-        or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in value)
-    ):
+    numbers = [json_number(x) for x in value] if isinstance(value, list) else []
+    if len(numbers) != 3 or None in numbers:
         raise SettingsFormatError(f"setting '{key}' must be a list of 3 numbers")
-    arr = np.array(value, dtype=np.float64)
-    norm = float(np.linalg.norm(arr))
+    norm = float(np.linalg.norm(numbers))
     if norm < 1e-12:
         raise SettingsFormatError(f"setting '{key}' is a zero vector")
+    unit = unit_vector(numbers)  # rejects a norm that overflows, before any warning
     if abs(norm - 1.0) > 1e-6:
-        warnings.warn(
-            f"settings vector '{key}' has norm {norm:.9g}; normalizing",
-            stacklevel=2,
-        )
-    return unit_vector(arr)
+        warnings.warn(f"settings vector '{key}' has norm {norm:.9g}; normalizing")
+    return unit
 
 
 def directions_from_json(data, keys: tuple[str, ...]) -> tuple[np.ndarray, ...]:

@@ -8,6 +8,7 @@ values quoted in the test suite hold under this convention.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +77,11 @@ class TwoQubitState:
         trace_residual = abs(complex(entries.trace()) - 1.0)
         if trace_residual > VALIDATION_TOL:
             raise TraceNotOneError(f"state trace differs from 1 by {trace_residual:.3e}")
-        eigs = jacobi.eigvalsh_hermitian((entries + entries.conj().T) / 2.0)
+        try:
+            eigs = jacobi.eigvalsh_hermitian((entries + entries.conj().T) / 2.0)
+        except np.linalg.LinAlgError:
+            # Overflowing entries: trace one and Hermitian, so never PSD.
+            raise NotPSDError("state eigenvalues did not converge") from None
         if eigs[0] < -VALIDATION_TOL:
             raise NotPSDError(f"state has negative eigenvalue {eigs[0]:.3e}")
         object.__setattr__(self, "entries", _readonly(entries))
@@ -223,9 +228,11 @@ def _direction_array(v, name: str) -> np.ndarray:
 
 
 def unit_vector(v) -> np.ndarray:
-    """Normalize a 3-component direction; rejects zero and non-finite input."""
+    """Normalize a 3-component direction; rejects zero, non-finite and overflowing input."""
     arr = _direction_array(v, "direction")
     norm = float(np.linalg.norm(arr))
+    if not math.isfinite(norm):
+        raise ValidationError("direction vector norm overflows")
     if norm < 1e-12:
         raise ValidationError("direction vector is numerically zero")
     return _readonly(arr / norm)
@@ -264,13 +271,27 @@ _FAMILY_FIELDS = {
 }
 
 
+def json_number(value) -> float | None:
+    """A parsed JSON number as a finite float, or None for anything else.
+
+    None covers bools, huge ints and the NaN, Infinity and 1e999 that json accepts.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
+
+
 def _require_number(data: dict, field: str) -> float:
     if field not in data:
         raise StateFormatError(f"missing required field '{field}'")
-    value = data[field]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    number = json_number(data[field])
+    if number is None:
         raise StateFormatError(f"field '{field}' must be a number")
-    return float(value)
+    return number
 
 
 def _real_matrix(data: dict, field: str) -> np.ndarray:
@@ -283,11 +304,10 @@ def _real_matrix(data: dict, field: str) -> np.ndarray:
         or any(not isinstance(row, list) or len(row) != 4 for row in value)
     ):
         raise StateFormatError(f"field '{field}' must be a 4x4 array of numbers")
-    for row in value:
-        for x in row:
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
-                raise StateFormatError(f"field '{field}' must contain only numbers")
-    return np.array(value, dtype=np.float64)
+    values = [json_number(x) for row in value for x in row]
+    if None in values:
+        raise StateFormatError(f"field '{field}' must contain only numbers")
+    return np.array(values).reshape(4, 4)
 
 
 def state_from_json(data) -> TwoQubitState:

@@ -7,12 +7,22 @@ pair), so random-settings property tests stay inside the valid domain.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 
 from qnetmax.correlations import BilocalSettings, StarBranch, StarSettings
 from qnetmax.qstate import BELL_KETS, TwoQubitState, random_unit_vector
 
 SQRT2 = float(np.sqrt(2.0))
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def subprocess_env() -> dict[str, str]:
+    """The environment with this checkout's src first on PYTHONPATH, for child processes."""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
 
 # Counterexample pair: one axis-aligned partly-entangled mixture against the
 # colored-noise state at (v, lambda) = (7/10, 1/3).

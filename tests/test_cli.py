@@ -1,13 +1,17 @@
 """Command-line interface: reports, exit codes, and determinism."""
 
+import io
 import json
 import math
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import SQRT2
+from conftest import SQRT2, subprocess_env
 from qnetmax import cli
 from qnetmax.cli import main
 
@@ -151,6 +155,17 @@ def test_colored_scan_rectangular_grid(capsys):
 
 
 @pytest.mark.parametrize(
+    "grid, values",
+    [("0:0.6:0.35", ["0", "0.35"]), ("0:1:0.35", ["0", "0.35", "0.7"])],
+)
+def test_scan_grid_points_never_pass_stop(capsys, grid, values):
+    # The step does not divide the range: the last point stays below stop.
+    assert main(["scan", "--family", "werner", "--grid", grid]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+    assert [row[:2] for row in rows] == [[a, b] for a in values for b in values]
+
+
+@pytest.mark.parametrize(
     "grid",
     ["0:1", "1:0:0.1", "0:1:-0.1", "0:1:0.5,0:1:0.5,0:1:0.5", "a:b:c"],
 )
@@ -288,6 +303,15 @@ def test_verify_rejects_a_negative_seed(capsys, monkeypatch, suite, flag, env):
     assert "seed must be >= 0" in captured.err
 
 
+def test_verify_rejects_more_than_the_instance_limit(capsys):
+    # Rejected before any instance seed is drawn, so nothing is allocated.
+    code = main(["verify", "--suite", "lemma2", "--instances", str(10**30)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"<= {cli._MAX_INSTANCES}, got {10**30}" in captured.err
+
+
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "--suite", "theorem9"]) == 2
     assert "unknown suite" in capsys.readouterr().err
@@ -374,6 +398,36 @@ def test_swap_sim_settings_errors_name_the_file(capsys, state_files, tmp_path):
     assert "three_keys.json: missing settings field 'c1'" in capsys.readouterr().err
 
 
+UNIT_SETTINGS = {"a0": [0, 0, 1], "a1": [1, 0, 0], "c0": [0, 0, 1], "c1": [1, 0, 0]}
+
+
+def test_swap_sim_off_norm_settings_warn_in_one_line_naming_the_file(
+    capsys, state_files, tmp_path
+):
+    path = tmp_path / "offnorm.json"
+    path.write_text(json.dumps({**UNIT_SETTINGS, "a0": [2, 0, 0]}))
+    code = main(
+        ["swap-sim", state_files["singlet"], state_files["singlet"], "--settings", str(path)]
+    )
+    assert code == 0
+    err_lines = capsys.readouterr().err.splitlines()
+    assert err_lines == [f"warning: {path}: settings vector 'a0' has norm 2; normalizing"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_swap_sim_rejects_an_overflowing_direction_without_a_warning(
+    capsys, state_files, tmp_path
+):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({**UNIT_SETTINGS, "a0": [1e200, 0, 0]}))
+    code = main(
+        ["swap-sim", state_files["singlet"], state_files["singlet"], "--settings", str(path)]
+    )
+    assert code == 2
+    err_lines = capsys.readouterr().err.splitlines()
+    assert err_lines == [f"error: {path}: direction vector norm overflows"]
+
+
 @pytest.mark.parametrize("command", ["analyze", "swap-sim"])
 def test_undecodable_input_file_is_an_input_error(state_files, tmp_path, command):
     bad = tmp_path / "undecodable.json"
@@ -383,7 +437,10 @@ def test_undecodable_input_file_is_an_input_error(state_files, tmp_path, command
     else:
         argv = ["swap-sim", state_files["singlet"], state_files["singlet"], "--settings", str(bad)]
     result = subprocess.run(
-        [sys.executable, "-m", "qnetmax", *argv], capture_output=True, text=True
+        [sys.executable, "-m", "qnetmax", *argv],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
     )
     assert result.returncode == 2
     assert "error:" in result.stderr
@@ -407,9 +464,115 @@ def test_reports_round_to_fifteen_significant_digits(capsys, tmp_path):
 
 def test_module_invocation_is_byte_stable(state_files):
     argv = [sys.executable, "-m", "qnetmax", "analyze", state_files["werner08"]]
-    first = subprocess.run(argv, capture_output=True, check=True)
-    second = subprocess.run(argv, capture_output=True, check=True)
+    first = subprocess.run(argv, capture_output=True, check=True, env=subprocess_env())
+    second = subprocess.run(argv, capture_output=True, check=True, env=subprocess_env())
     assert first.stdout == second.stdout
     assert first.stdout.startswith(b"{")
     report = json.loads(first.stdout)
     assert report["links"][0]["label"] == "werner(v=0.8)"
+
+
+# ---------------------------------------------------------------------------
+# the input contract: any state or settings file exits 0 or 2, never raises
+# ---------------------------------------------------------------------------
+
+JSON_NUMBERS = st.one_of(
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.sampled_from([10**400, -(10**40), 2**1024, 1e308, -1e200]),
+    st.floats(),  # NaN and +-Infinity included; json.dumps writes them out
+    st.booleans(),
+)
+JSON_VALUES = st.recursive(
+    JSON_NUMBERS | st.none() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+NUMBERISH = st.floats(-1.0, 1.0) | JSON_NUMBERS | JSON_VALUES
+
+
+def _hermitian_doc(off_diagonal):
+    """Trace-one real symmetric matrix with one off-diagonal pair."""
+    re = [[0.25 if i == j else 0 for j in range(4)] for i in range(4)]
+    re[0][1] = re[1][0] = off_diagonal
+    return {"re": re, "im": [[0] * 4 for _ in range(4)]}
+
+
+MATRICES = st.lists(st.lists(NUMBERISH, min_size=4, max_size=4), min_size=4, max_size=4)
+STATE_DOCS = st.one_of(
+    JSON_VALUES,
+    st.fixed_dictionaries(
+        {"family": st.sampled_from(["werner", "colored", "bell"]) | JSON_VALUES},
+        optional={
+            "v": NUMBERISH,
+            "lambda": NUMBERISH,
+            "which": st.sampled_from(["psi-", "phi+"]) | JSON_VALUES,
+            "extra": JSON_VALUES,
+        },
+    ),
+    st.fixed_dictionaries(
+        {"re": MATRICES | JSON_VALUES, "im": MATRICES | JSON_VALUES},
+        optional={"label": st.text(max_size=4) | JSON_VALUES, "extra": JSON_VALUES},
+    ),
+    st.builds(_hermitian_doc, st.floats(allow_nan=False) | JSON_NUMBERS),
+)
+DIRECTIONS = st.lists(NUMBERISH, min_size=3, max_size=3) | JSON_VALUES
+SETTINGS_KEYS = ("a0", "a1", "c0", "c1")
+SETTINGS_DOCS = st.one_of(
+    JSON_VALUES,
+    st.fixed_dictionaries(
+        {k: DIRECTIONS for k in SETTINGS_KEYS}, optional={"extra": JSON_VALUES}
+    ),
+    st.fixed_dictionaries({}, optional={k: DIRECTIONS for k in (*SETTINGS_KEYS, "b0")}),
+)
+BIG = 10**400
+
+
+def assert_exits_0_or_2(argv):
+    """Run ``main`` in-process; argparse's SystemExit counts as an exit code."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2)
+    if code == 2:
+        assert "error:" in err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("contract")
+    (path / "singlet.json").write_text(json.dumps({"family": "bell", "which": "psi-"}))
+    return path
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(text=STATE_DOCS.map(json.dumps))
+@example(text=json.dumps({"family": "werner", "v": BIG}))
+@example(text=json.dumps({"family": "colored", "v": 0.5, "lambda": -BIG}))
+@example(text=json.dumps(_hermitian_doc(BIG)))
+@example(text='{"family": "werner", "v": 1e999}')
+@example(text=json.dumps({"family": "werner", "v": math.nan}))
+@example(text=json.dumps(_hermitian_doc(1e308)))
+def test_analyze_exits_0_or_2_on_any_state_document(contract_dir, text):
+    path = contract_dir / "state.json"
+    path.write_text(text)
+    assert_exits_0_or_2(["analyze", str(path)])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(text=SETTINGS_DOCS.map(json.dumps))
+@example(text=json.dumps({**UNIT_SETTINGS, "a0": [BIG, 0, 0]}))
+@example(text=json.dumps({**UNIT_SETTINGS, "a0": [1e200, 0, 0]}))
+@example(text=json.dumps({**UNIT_SETTINGS, "a0": [1e308, 1e308, 0]}))
+@example(text=json.dumps({**UNIT_SETTINGS, "a0": [math.inf, 0, 0]}))
+@example(text=json.dumps({**UNIT_SETTINGS, "a0": [2, 0, 0]}))
+def test_swap_sim_exits_0_or_2_on_any_settings_document(contract_dir, text):
+    path = contract_dir / "settings.json"
+    path.write_text(text)
+    singlet = str(contract_dir / "singlet.json")
+    assert_exits_0_or_2(["swap-sim", singlet, singlet, "--settings", str(path)])

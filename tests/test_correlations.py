@@ -26,6 +26,7 @@ from qnetmax.errors import (
     SettingsFormatError,
     ValidationError,
 )
+from qnetmax.oracle import ChshSettings
 from qnetmax.qstate import (
     bell_state,
     correlation_matrix,
@@ -360,6 +361,22 @@ def test_bilocal_settings_schema_rejections(mutate, match):
     mutate(doc)
     with pytest.raises(SettingsFormatError, match=match):
         bilocal_settings_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: BilocalSettings(v, ZX.a1, ZX.bA0, ZX.bA1, ZX.bC0, ZX.bC1, ZX.c0, ZX.c1),
+        lambda v: StarBranch(a0=v, a1=ZX.a1, b0=ZX.bA0, b1=ZX.bA1),
+        lambda v: ChshSettings(u0=v, u1=ZX.a1, v0=ZX.c0, v1=ZX.c1),
+    ],
+    ids=["BilocalSettings", "StarBranch", "ChshSettings"],
+)
+@pytest.mark.parametrize("v", [(1e200, 0.0, 0.0), (1e308, 1e308, 0.0)])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_settings_reject_a_direction_whose_norm_overflows(make, v):
+    with pytest.raises(ValidationError, match="norm overflows"):
+        make(v)
 
 
 def test_bilocal_settings_json_enforces_orthogonality():

@@ -1,6 +1,7 @@
 """States, named families, correlation data, and the JSON state schema."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from qnetmax.qstate import (
     bloch_vectors,
     colored_noise_state,
     correlation_matrix,
+    json_number,
     load_state,
     make_state,
     random_state,
@@ -271,6 +273,7 @@ def test_unit_vector_normalizes():
     np.testing.assert_allclose(v, [0.0, 0.6, 0.8], atol=1e-15)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_unit_vector_rejects_bad_input():
     with pytest.raises(ValidationError):
         unit_vector((1.0, 2.0))
@@ -278,6 +281,9 @@ def test_unit_vector_rejects_bad_input():
         unit_vector((0.0, 0.0, 0.0))
     with pytest.raises(ValidationError):
         unit_vector((np.inf, 0.0, 0.0))
+    for overflowing in [(1e200, 0.0, 0.0), (1e308, 1e308, 0.0)]:
+        with pytest.raises(ValidationError, match="norm overflows"):
+            unit_vector(overflowing)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +329,13 @@ def test_state_from_json_matrix_form():
         ({}, "either 'family' or 're'/'im'"),
         ({"family": ["werner"], "v": 0.5}, "unknown family"),
         ({"family": "bell", "which": ["phi+"]}, "'which' must be one of"),
+        ({"family": "werner", "v": 10**400}, "field 'v' must be a number"),
+        ({"family": "colored", "v": 0.5, "lambda": -(10**400)}, "field 'lambda' must be a number"),
+        ({"family": "werner", "v": math.nan}, "field 'v' must be a number"),
+        ({"family": "werner", "v": math.inf}, "field 'v' must be a number"),
+        ({"re": [[10**400] * 4] * 4, "im": [[0.0] * 4] * 4}, "field 're' must contain only"),
+        ({"re": [[0.25] * 4] * 4, "im": [[-(10**400)] * 4] * 4}, "field 'im' must contain only"),
+        ({"re": [[math.nan] * 4] * 4, "im": [[0.0] * 4] * 4}, "field 're' must contain only"),
     ],
 )
 def test_state_from_json_rejections(doc, match):
@@ -330,9 +343,37 @@ def test_state_from_json_rejections(doc, match):
         state_from_json(doc)
 
 
+@pytest.mark.parametrize(
+    "value, expected",
+    [(0, 0.0), (-3, -3.0), (0.25, 0.25), (2**53 + 1, 9007199254740992.0), (1e308, 1e308)],
+)
+def test_json_number_reads_finite_numbers(value, expected):
+    assert json_number(value) == expected
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, False, None, "0.5", [0.5], {"v": 0.5}, 10**400, -(10**400),
+     math.nan, math.inf, -math.inf, json.loads("1e999")],
+)
+def test_json_number_rejects_non_numbers_and_non_finite_values(value):
+    assert json_number(value) is None
+
+
 def test_state_from_json_invalid_matrix_raises_validation():
     doc = {"re": np.diag([1.5, -0.5, 0.0, 0.0]).tolist(), "im": np.zeros((4, 4)).tolist()}
     with pytest.raises(NotPSDError):
+        state_from_json(doc)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_state_from_json_overflowing_matrix_is_not_psd():
+    # Hermitian and trace one, but rho + rho^dag overflows to inf and the
+    # eigensolver cannot converge on it.
+    re = np.diag([0.25] * 4)
+    re[0, 1] = re[1, 0] = 1e308
+    doc = {"re": re.tolist(), "im": np.zeros((4, 4)).tolist()}
+    with pytest.raises(NotPSDError, match="did not converge"):
         state_from_json(doc)
 
 
