@@ -300,8 +300,9 @@ def _suite_prop1(seed: int, instances: int, restarts: int) -> dict:
     }
 
 
-# Most instances one verify run takes: every instance seed is drawn up front.
+# Most instances and oracle restarts one verify run takes: both size arrays up front.
 _MAX_INSTANCES = 1_000_000
+_MAX_RESTARTS = 10_000
 
 _SUITES = {
     "theorem1": _suite_theorem1,
@@ -322,6 +323,10 @@ def cmd_verify(args) -> int:
     if not 1 <= args.instances <= _MAX_INSTANCES:
         raise QnetmaxError(
             f"--instances must be >= 1 and <= {_MAX_INSTANCES}, got {args.instances}"
+        )
+    if not 1 <= args.restarts <= _MAX_RESTARTS:
+        raise QnetmaxError(
+            f"--restarts must be >= 1 and <= {_MAX_RESTARTS}, got {args.restarts}"
         )
     if seed < 0:
         raise QnetmaxError(f"the seed must be >= 0, got {seed}")

@@ -57,7 +57,8 @@ class TwoQubitState:
     """A validated two-qubit density matrix.
 
     Construction checks Hermiticity, unit trace, and positive semidefiniteness
-    (all at tolerance 1e-9) and freezes the entries read-only.
+    (all at tolerance 1e-9) and freezes a private copy of the entries
+    read-only, so what is derived from a state can be stored on it.
     """
 
     entries: np.ndarray
@@ -67,21 +68,24 @@ class TwoQubitState:
         entries = np.array(self.entries, dtype=np.complex128)
         if entries.shape != (4, 4):
             raise ValidationError(f"state matrix must be 4x4, got shape {entries.shape}")
-        if not np.all(np.isfinite(entries.view(np.float64))):
+        largest = float(np.abs(entries.view(np.float64)).max())
+        if not math.isfinite(largest):
             raise ValidationError("state matrix has non-finite entries")
-        herm_residual = float(np.abs(entries - entries.conj().T).max())
+        # No entry of a trace-one PSD matrix exceeds 1 in magnitude.  Larger
+        # entries are checked scaled down to 1, so no sum below overflows.
+        scale = largest if largest > 2.0 else 1.0
+        unit = entries / scale if largest > 2.0 else entries
+        herm_residual = float(np.abs(unit - unit.conj().T).max()) * scale
         if herm_residual > VALIDATION_TOL:
             raise NotHermitianError(
                 f"state is not Hermitian: max |rho - rho^dag| = {herm_residual:.3e}"
             )
-        trace_residual = abs(complex(entries.trace()) - 1.0)
+        trace_residual = abs(complex(unit.trace()) * scale - 1.0)
         if trace_residual > VALIDATION_TOL:
             raise TraceNotOneError(f"state trace differs from 1 by {trace_residual:.3e}")
-        try:
-            eigs = jacobi.eigvalsh_hermitian((entries + entries.conj().T) / 2.0)
-        except np.linalg.LinAlgError:
-            # Overflowing entries: trace one and Hermitian, so never PSD.
-            raise NotPSDError("state eigenvalues did not converge") from None
+        if largest > 2.0:
+            raise NotPSDError(f"state has an entry of magnitude {largest:.3e}, above 1")
+        eigs = jacobi.eigvalsh_hermitian((entries + entries.conj().T) / 2.0)
         if eigs[0] < -VALIDATION_TOL:
             raise NotPSDError(f"state has negative eigenvalue {eigs[0]:.3e}")
         object.__setattr__(self, "entries", _readonly(entries))
@@ -156,13 +160,21 @@ def random_state(seed: int) -> TwoQubitState:
 
 
 def correlation_matrix(state: TwoQubitState) -> CorrelationMatrix:
-    """Joint Pauli correlators t_nm = tr[rho (sigma_n x sigma_m)]."""
-    rho = (state.entries + state.entries.conj().T) / 2.0
-    vals = (rho[None, None, :, :] * _PAULI_PAIR_T).sum(axis=(2, 3))
-    imag_residual = float(np.abs(vals.imag).max())
-    if imag_residual > VALIDATION_TOL:
-        raise ValidationError(f"correlator has imaginary residue {imag_residual:.3e}")
-    return CorrelationMatrix(vals.real)
+    """Joint Pauli correlators t_nm = tr[rho (sigma_n x sigma_m)].
+
+    Stored on the state at the first call; sound because the state's
+    entries and ``CorrelationMatrix.t`` are private read-only copies.
+    """
+    corr = state.__dict__.get("_corr")
+    if corr is None:
+        rho = (state.entries + state.entries.conj().T) / 2.0
+        vals = (rho[None, None, :, :] * _PAULI_PAIR_T).sum(axis=(2, 3))
+        imag_residual = float(np.abs(vals.imag).max())
+        if imag_residual > VALIDATION_TOL:
+            raise ValidationError(f"correlator has imaginary residue {imag_residual:.3e}")
+        corr = CorrelationMatrix(vals.real)
+        object.__setattr__(state, "_corr", corr)
+    return corr
 
 
 def bloch_vectors(state: TwoQubitState) -> tuple[np.ndarray, np.ndarray]:

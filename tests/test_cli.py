@@ -312,6 +312,16 @@ def test_verify_rejects_more_than_the_instance_limit(capsys):
     assert f"<= {cli._MAX_INSTANCES}, got {10**30}" in captured.err
 
 
+@pytest.mark.parametrize("restarts", ["0", str(10**30)])
+def test_verify_rejects_restarts_outside_the_limit(capsys, restarts):
+    # Rejected before the optimizer sizes any array, so nothing is allocated.
+    code = main(["verify", "--suite", "theorem3", "--instances", "1", "--restarts", restarts])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--restarts must be >= 1 and <= {cli._MAX_RESTARTS}, got {restarts}" in captured.err
+
+
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "--suite", "theorem9"]) == 2
     assert "unknown suite" in capsys.readouterr().err
@@ -445,6 +455,22 @@ def test_undecodable_input_file_is_an_input_error(state_files, tmp_path, command
     assert result.returncode == 2
     assert "error:" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_analyze_rejects_an_overflowing_matrix_with_one_error_line(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_hermitian_doc(1e308)))
+    result = subprocess.run(
+        [sys.executable, "-m", "qnetmax", "analyze", str(path)],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        f"error: {path}: state has an entry of magnitude 1.000e+308, above 1"
+    ]
 
 
 # ---------------------------------------------------------------------------

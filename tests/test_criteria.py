@@ -14,6 +14,8 @@ from conftest import (
     counterexample_pair,
     skewed_triple,
 )
+from qnetmax import criteria, jacobi
+from qnetmax.classify import classify_pair
 from qnetmax.correlations import ORTHOGONALITY_TOL, StarBranch, star_value
 from qnetmax.criteria import (
     MaxReport,
@@ -360,3 +362,54 @@ def test_max_report_rejects_inconsistent_pair_values():
     sp = TSpectrum(1.0, 1.0, 1.0)
     with pytest.raises(ValidationError, match="exceeds the CHSH product"):
         MaxReport(chsh_per_link=(1.0, 1.0), biloc_or_star=1.5, spectra=(sp, sp))
+
+
+# ---------------------------------------------------------------------------
+# spectra stored on the states
+# ---------------------------------------------------------------------------
+
+
+def test_stored_spectrum_has_the_bits_of_a_fresh_one():
+    for seed in range(200):
+        state = random_state(seed)
+        chsh_max(state)
+        stored = criteria._spectrum_of(state)
+        fresh = t_spectrum(correlation_matrix(make_state(state.entries)))
+        assert criteria._spectrum_of(state) is stored
+        assert [t.hex() for t in stored.as_tuple()] == [t.hex() for t in fresh.as_tuple()]
+
+
+_CLOSED_FORMS = (
+    lambda s: chsh_max(s[0]),
+    lambda s: bilocality_max(s[0], s[1]),
+    lambda s: star_max(s),
+    lambda s: star_supremum(s),
+    lambda s: network_report(s).chsh_per_link + (network_report(s).biloc_or_star,),
+    lambda s: network_report(s[:2]).biloc_or_star,
+    lambda s: classify_pair(s[0], s[1]).as_tuple(),
+)
+
+
+@pytest.mark.parametrize("seed", [0, 11, 404])
+def test_closed_forms_do_not_depend_on_call_order(seed):
+    def fresh():
+        return [random_state(seed + j) for j in range(3)]
+
+    # Each closed form on states that nothing touched before.
+    cold = [f(fresh()) for f in _CLOSED_FORMS]
+    states = fresh()
+    backwards = [f(states) for f in reversed(_CLOSED_FORMS)][::-1]
+    again = [f(states) for f in _CLOSED_FORMS]
+    assert repr(cold) == repr(backwards) == repr(again)
+
+
+def test_classify_pair_solves_one_spectrum_per_source(monkeypatch):
+    # The pure t_spectrum keeps one eigen solve per source, also on states
+    # whose spectrum is already stored.
+    state = werner_state(0.8)
+    chsh_max(state)
+    calls = []
+    solve = jacobi.eigvalsh_symmetric
+    monkeypatch.setattr(jacobi, "eigvalsh_symmetric", lambda m: calls.append(m) or solve(m))
+    classify_pair(state, state)
+    assert len(calls) == 2

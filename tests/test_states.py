@@ -1,5 +1,6 @@
 """States, named families, correlation data, and the JSON state schema."""
 
+import dataclasses
 import json
 import math
 
@@ -366,15 +367,63 @@ def test_state_from_json_invalid_matrix_raises_validation():
         state_from_json(doc)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_state_from_json_overflowing_matrix_is_not_psd():
-    # Hermitian and trace one, but rho + rho^dag overflows to inf and the
-    # eigensolver cannot converge on it.
+    # Hermitian and trace one, but rho + rho^dag would overflow to inf; the
+    # entry bound rejects it first, without a numpy warning.
     re = np.diag([0.25] * 4)
     re[0, 1] = re[1, 0] = 1e308
     doc = {"re": re.tolist(), "im": np.zeros((4, 4)).tolist()}
-    with pytest.raises(NotPSDError, match="did not converge"):
+    with pytest.raises(NotPSDError, match="entry of magnitude 1.000e\\+308"):
         state_from_json(doc)
+
+
+def _diag_with(off_diagonal=None, diagonal=(0.25,) * 4):
+    entries = np.diag(diagonal).astype(complex)
+    if off_diagonal is not None:
+        entries[0, 1], entries[1, 0] = off_diagonal
+    return entries
+
+
+@pytest.mark.parametrize(
+    "entries, error",
+    [
+        (_diag_with((1e308, -1e308)), NotHermitianError),
+        (_diag_with((1e308j, 1e308j)), NotHermitianError),
+        (_diag_with(diagonal=(1e308, 1e308, 1e308, 0.0)), TraceNotOneError),
+        (_diag_with(diagonal=(1e308, 1e308, -1e308, -1e308)), TraceNotOneError),
+        (_diag_with((3.0, 3.0)), NotPSDError),
+    ],
+)
+def test_huge_entries_are_rejected_without_overflow(entries, error):
+    # Tier-1 turns every RuntimeWarning into an error, so an overflow fails here.
+    with pytest.raises(error):
+        make_state(entries)
+
+
+def test_correlation_matrix_is_computed_once_per_state():
+    state = random_state(5)
+    corr = correlation_matrix(state)
+    assert correlation_matrix(state) is corr
+    assert not corr.t.flags.writeable
+    assert "_corr" not in repr(state)
+    assert [f.name for f in dataclasses.fields(state)] == ["entries", "label"]
+
+
+def test_swap_qubits_keeps_its_own_correlation_matrix():
+    state = random_state(6)
+    corr = correlation_matrix(state)
+    swapped = swap_qubits(state)
+    assert correlation_matrix(swapped) is not corr
+    np.testing.assert_allclose(correlation_matrix(swapped).t, corr.t.T, rtol=0, atol=1e-15)
+    assert correlation_matrix(state) is corr
+
+
+def test_stored_correlation_matrix_has_the_bits_of_a_fresh_one():
+    for seed in range(200):
+        state = random_state(seed)
+        correlation_matrix(state)
+        fresh = correlation_matrix(make_state(state.entries))
+        assert correlation_matrix(state).t.tobytes() == fresh.t.tobytes()
 
 
 def test_load_state_roundtrip(tmp_path):
