@@ -29,6 +29,7 @@ from .errors import (
 )
 from .oracle import OptimizerConfig, maximize_bilocality, maximize_star
 from .qstate import (
+    correlation_matrix,
     load_json,
     load_state,
     random_state,
@@ -266,7 +267,7 @@ def _suite_lemma4(seed: int, instances: int, restarts: int) -> dict:
     hi = -math.inf
     failures = 0
     for inst_seed in _instance_seeds(seed, instances):
-        sp = criteria._spectrum_of(random_state(inst_seed))
+        sp = criteria.t_spectrum(correlation_matrix(random_state(inst_seed)))
         lo = min(lo, sp.t3)
         hi = max(hi, sp.t1)
         failures += not (sp.t3 >= 0.0 and sp.t1 <= 1.0 + 1e-9)

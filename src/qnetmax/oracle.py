@@ -184,8 +184,10 @@ class _ProductAscent:
     outer directions a0/a1 = cos(alpha) n +- sin(alpha) n', an orthonormal
     outer frame (n, n'), and an orthonormal central frame (b0, b1) — central
     orthogonality being the joint-measurability constraint on the input-free
-    middle station.  Branch factors are p = cos(alpha) n.M b0 and
-    q = sin(alpha) n'.M b1.
+    middle station.  frames has shape (restarts, n, 2, 2, 3): frames[:, j, 0]
+    holds branch j's outer frame (n, n') and frames[:, j, 1] its central frame
+    (b0, b1).  g0 = n.M b0 and g1 = n'.M b1 are stored per branch; the branch
+    factors p = cos(alpha) g0 and q = sin(alpha) g1 are derived where read.
 
     One cycle updates each branch by three exact one-dimensional searches:
     the central frame rotated within the plane spanned by (M^T n, M^T n'),
@@ -204,12 +206,12 @@ class _ProductAscent:
         self.alpha = 2.0 * math.pi * rng.random((restarts, self.n))
         fallback0 = np.zeros((restarts, self.n, 3))
         fallback0[..., 2] = 1.0
-        raw = rng.standard_normal((restarts, self.n, 2, 3))
-        self.n_out = _unit_rows(raw[:, :, 0, :], fallback0)
-        self.np_out = self._complete_frame(self.n_out, raw[:, :, 1, :])
-        raw = rng.standard_normal((restarts, self.n, 2, 3))
-        self.b0 = _unit_rows(raw[:, :, 0, :], fallback0)
-        self.b1 = self._complete_frame(self.b0, raw[:, :, 1, :])
+        self.frames = np.empty((restarts, self.n, 2, 2, 3))
+        for side in (0, 1):
+            raw = rng.standard_normal((restarts, self.n, 2, 3))
+            first = _unit_rows(raw[:, :, 0], fallback0)
+            self.frames[:, :, side, 0] = first
+            self.frames[:, :, side, 1] = self._complete_frame(first, raw[:, :, 1])
         # Restart 0 starts from the singular frames of each branch matrix with
         # the mixing angle that is optimal for those frames; the remaining
         # restarts explore from random frames.  The structured start is just
@@ -217,27 +219,18 @@ class _ProductAscent:
         s_top = np.empty((self.n, 2))
         for j, m in enumerate(self.mats):
             u, s, vt = np.linalg.svd(m)
-            self.n_out[0, j, :] = u[:, 0]
-            self.np_out[0, j, :] = u[:, 1]
-            self.b0[0, j, :] = vt[0, :]
-            self.b1[0, j, :] = vt[1, :]
+            self.frames[0, j] = u[:, :2].T, vt[:2]
             s_top[j] = s[:2]
         inv = 1.0 / self.n
         p_top = float(np.prod(s_top[:, 0])) ** inv
         q_top = float(np.prod(s_top[:, 1])) ** inv
         self.alpha[0, :] = math.atan2(q_top, p_top)
-        # Branch factors g0 = n.M b0, g1 = n'.M b1 and the mixed p, q.
         self.g0 = np.empty((restarts, self.n))
         self.g1 = np.empty((restarts, self.n))
-        self.p = np.empty((restarts, self.n))
-        self.q = np.empty((restarts, self.n))
         for j in range(self.n):
             self._refresh_branch(j)
-        self.val = self._combine(
-            np.prod(np.abs(self.p), axis=1), np.prod(np.abs(self.q), axis=1)
-        )
+        self.val = self._combine(*self._products())
         self.converged = np.zeros(restarts, dtype=bool)
-        self.iterations = 0
 
     @staticmethod
     def _complete_frame(first: np.ndarray, raw: np.ndarray) -> np.ndarray:
@@ -251,43 +244,38 @@ class _ProductAscent:
 
     def _refresh_branch(self, j: int) -> None:
         m = self.mats[j]
-        self.g0[:, j] = np.sum((self.n_out[:, j, :] @ m) * self.b0[:, j, :], axis=-1)
-        self.g1[:, j] = np.sum((self.np_out[:, j, :] @ m) * self.b1[:, j, :], axis=-1)
-        self.p[:, j] = np.cos(self.alpha[:, j]) * self.g0[:, j]
-        self.q[:, j] = np.sin(self.alpha[:, j]) * self.g1[:, j]
+        outer, central = self.frames[:, j, 0], self.frames[:, j, 1]
+        self.g0[:, j] = np.sum((outer[:, 0] @ m) * central[:, 0], axis=-1)
+        self.g1[:, j] = np.sum((outer[:, 1] @ m) * central[:, 1], axis=-1)
 
-    def _side_products(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        others = [i for i in range(self.n) if i != j]
-        if not others:
-            ones = np.ones(self.config.restarts)
-            return ones, ones
+    def _products(self, skip: int = -1) -> tuple[np.ndarray, np.ndarray]:
+        """|prod cos(alpha) g0| and |prod sin(alpha) g1| over every branch but skip."""
+        branches = [i for i in range(self.n) if i != skip]
+        alpha = self.alpha[:, branches]
         return (
-            np.prod(np.abs(self.p[:, others]), axis=1),
-            np.prod(np.abs(self.q[:, others]), axis=1),
+            np.prod(np.abs(np.cos(alpha) * self.g0[:, branches]), axis=1),
+            np.prod(np.abs(np.sin(alpha) * self.g1[:, branches]), axis=1),
         )
 
     def _update_alpha(self, j: int) -> None:
-        cp, cq = self._side_products(j)
+        cp, cq = self._products(j)
         cp_g0 = cp * np.abs(self.g0[:, j])
         cq_g1 = cq * np.abs(self.g1[:, j])
         t_best = _mixing_angle(cp_g0, cq_g1, self.n)
         f_best = self._combine(cp_g0 * np.cos(t_best), cq_g1 * np.sin(t_best))
         accept = f_best > self.val
         self.alpha[:, j] = np.where(accept, t_best, self.alpha[:, j])
-        self._refresh_branch(j)
         self.val = np.where(accept, f_best, self.val)
 
-    def _update_frame(self, j: int, central: bool) -> None:
-        cp, cq = self._side_products(j)
+    def _update_frame(self, j: int, side: int) -> None:
+        """Rotate branch j's outer (side 0) or central (side 1) frame."""
+        cp, cq = self._products(j)
         m = self.mats[j]
-        if central:
-            x = self.n_out[:, j, :] @ m
-            y = self.np_out[:, j, :] @ m
-            old0, old1 = self.b0[:, j, :], self.b1[:, j, :]
-        else:
-            x = self.b0[:, j, :] @ m.T
-            y = self.b1[:, j, :] @ m.T
-            old0, old1 = self.n_out[:, j, :], self.np_out[:, j, :]
+        image = m if side else m.T
+        other = self.frames[:, j, 1 - side]
+        x = other[:, 0] @ image
+        y = other[:, 1] @ image
+        old0, old1 = self.frames[:, j, side, 0], self.frames[:, j, side, 1]
         inv = 1.0 / self.n
         scale_p = np.power(cp * np.abs(np.cos(self.alpha[:, j])), inv)
         scale_q = np.power(cq * np.abs(np.sin(self.alpha[:, j])), inv)
@@ -305,28 +293,21 @@ class _ProductAscent:
         accept = f_best > self.val
         cos_b = np.cos(t_best)[:, None]
         sin_b = np.sin(t_best)[:, None]
-        new0 = cos_b * e0 + sin_b * e1
-        new1 = -sin_b * e0 + cos_b * e1
         keep = ~accept[:, None]
-        if central:
-            self.b0[:, j, :] = np.where(keep, old0, new0)
-            self.b1[:, j, :] = np.where(keep, old1, new1)
-        else:
-            self.n_out[:, j, :] = np.where(keep, old0, new0)
-            self.np_out[:, j, :] = np.where(keep, old1, new1)
+        self.frames[:, j, side, 0] = np.where(keep, old0, cos_b * e0 + sin_b * e1)
+        self.frames[:, j, side, 1] = np.where(keep, old1, -sin_b * e0 + cos_b * e1)
         self._refresh_branch(j)
         self.val = np.where(accept, f_best, self.val)
 
     def run(self) -> None:
         best_seen = float(np.max(self.val))
         stall = 0
-        for iteration in range(self.config.max_iters):
+        for _ in range(self.config.max_iters):
             val_prev = self.val.copy()
             for j in range(self.n):
-                self._update_frame(j, central=True)
-                self._update_frame(j, central=False)
+                self._update_frame(j, 1)
+                self._update_frame(j, 0)
                 self._update_alpha(j)
-            self.iterations = iteration + 1
             improvement = self.val - val_prev
             self.converged = improvement < self.config.obj_tol
             if bool(np.all(self.converged)):
@@ -392,11 +373,10 @@ def _ascend(
     for j in range(ascent.n):
         cos_a = float(np.cos(ascent.alpha[idx, j]))
         sin_a = float(np.sin(ascent.alpha[idx, j]))
-        n_vec = ascent.n_out[idx, j, :]
-        np_vec = ascent.np_out[idx, j, :]
+        (n_vec, np_vec), (b0, b1) = ascent.frames[idx, j]
         a0 = cos_a * n_vec + sin_a * np_vec
         a1 = cos_a * n_vec - sin_a * np_vec
-        directions.append((a0, a1, ascent.b0[idx, j, :], ascent.b1[idx, j, :]))
+        directions.append((a0, a1, b0, b1))
     return directions, bool(ascent.converged[idx])
 
 

@@ -1,5 +1,7 @@
 """Numerical optimizer: certificates, benchmarks, and soundness/completeness."""
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -120,36 +122,52 @@ def test_optimizer_is_deterministic():
         )
 
 
+def _settings_digest(settings) -> str:
+    """First 16 hex digits of the sha256 of every settings direction's bytes."""
+    if isinstance(settings, StarSettings):
+        parts = [v for br in settings.branches for v in (br.a0, br.a1, br.b0, br.b1)]
+    else:
+        parts = [getattr(settings, f.name) for f in dataclasses.fields(settings)]
+    return hashlib.sha256(np.concatenate(parts).tobytes()).hexdigest()[:16]
+
+
+# Pinned results of the ascent at its default 32 restarts: the best value and
+# the settings digest, since a change can move a settings bit and keep the
+# value.  The test ids name the seed and value only.
+_PAIR_PINS = [
+    (11, "0x1.a6540d08e51f2p-1", "98ce57c86d732d25"),
+    (2024, "0x1.1fcbe53ecc471p-1", "97e365cf5aa5c17e"),
+    (987654321, "0x1.379c8d5311910p-1", "ea1cfd00b5481ea7"),
+]
+_STAR_PINS = [
+    (11, 3, "0x1.6f9d0b97c3da1p-1", "f1ad0703ca6c4914"),
+    (2024, 4, "0x1.4014e2e18ebc4p-1", "632a29c3c102d8e5"),
+    (987654321, 3, "0x1.45169d35a9618p-1", "f62e284549bc3f6d"),
+]
+
+
 @pytest.mark.parametrize(
-    "seed,value_hex",
-    [
-        (11, "0x1.a6540d08e51f2p-1"),
-        (2024, "0x1.1fcbe53ecc471p-1"),
-        (987654321, "0x1.379c8d5311910p-1"),
-    ],
+    "seed,value_hex,digest", _PAIR_PINS, ids=[f"{s}-{v}" for s, v, _ in _PAIR_PINS]
 )
-def test_pair_optimum_is_bit_stable(seed, value_hex):
-    # Pinned values of the ascent at its default 32 restarts; a refactor of
-    # _ProductAscent that reorders no arithmetic keeps them to the last bit.
+def test_pair_optimum_is_bit_stable(seed, value_hex, digest):
+    # A refactor of _ProductAscent that reorders no arithmetic keeps these to
+    # the last bit.
     cert = maximize_bilocality(
         random_state(seed), random_state(seed + 1), OptimizerConfig(seed=seed)
     )
     assert cert.best_value.hex() == value_hex
+    assert _settings_digest(cert.best_settings) == digest
 
 
 @pytest.mark.parametrize(
-    "seed,n,value_hex",
-    [
-        (11, 3, "0x1.6f9d0b97c3da1p-1"),
-        (2024, 4, "0x1.4014e2e18ebc4p-1"),
-        (987654321, 3, "0x1.45169d35a9618p-1"),
-    ],
+    "seed,n,value_hex,digest", _STAR_PINS, ids=[f"{s}-{n}-{v}" for s, n, v, _ in _STAR_PINS]
 )
-def test_star_optimum_is_bit_stable(seed, n, value_hex):
+def test_star_optimum_is_bit_stable(seed, n, value_hex, digest):
     cert = maximize_star(
         [random_state(seed + j) for j in range(n)], OptimizerConfig(seed=seed)
     )
     assert cert.best_value.hex() == value_hex
+    assert _settings_digest(cert.best_settings) == digest
 
 
 @pytest.mark.parametrize(

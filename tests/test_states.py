@@ -426,6 +426,15 @@ def test_stored_correlation_matrix_has_the_bits_of_a_fresh_one():
         assert correlation_matrix(state).t.tobytes() == fresh.t.tobytes()
 
 
+def test_states_compare_and_hash_by_identity():
+    # What is stored on a state belongs to that object, so equality is identity.
+    state = random_state(5)
+    assert state == state
+    assert random_state(5) != random_state(5)
+    assert {state: "first"}[state] == "first"
+    assert repr(state) == f"TwoQubitState(entries={state.entries!r}, label={state.label!r})"
+
+
 def test_load_state_roundtrip(tmp_path):
     path = tmp_path / "w.json"
     path.write_text(json.dumps({"family": "werner", "v": 0.8}))
