@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Sequence
 
-from .criteria import chsh_from_spectrum, pair_from_spectra, t_spectrum
+from .criteria import chsh_from_spectrum, star_from_spectra, t_spectrum
 from .errors import ValidationError
 from .qstate import TwoQubitState, colored_noise_state, correlation_matrix, werner_state
 
@@ -40,13 +40,14 @@ class ScanRow:
     flags: RegionFlags
 
 
+def violates(value: float) -> bool:
+    """Whether a maximum exceeds the classical bound 1, strictly."""
+    return value > 1.0
+
+
 def classify_values(s_ab: float, s_bc: float, b_max: float) -> RegionFlags:
     """Flags from precomputed maxima; strict > 1 on every comparison."""
-    return RegionFlags(
-        ab_nonlocal=s_ab > 1.0,
-        bc_nonlocal=s_bc > 1.0,
-        nonbilocal=b_max > 1.0,
-    )
+    return RegionFlags(violates(s_ab), violates(s_bc), violates(b_max))
 
 
 def classify_pair(state_ab: TwoQubitState, state_bc: TwoQubitState) -> RegionFlags:
@@ -58,7 +59,7 @@ def classify_pair(state_ab: TwoQubitState, state_bc: TwoQubitState) -> RegionFla
     sa = t_spectrum(correlation_matrix(state_ab))
     sc = t_spectrum(correlation_matrix(state_bc))
     return classify_values(
-        chsh_from_spectrum(sa), chsh_from_spectrum(sc), pair_from_spectra(sa, sc)
+        chsh_from_spectrum(sa), chsh_from_spectrum(sc), star_from_spectra([sa, sc])
     )
 
 
@@ -70,7 +71,7 @@ def _scan(grid: Iterable[tuple[float, float]], names: tuple[str, str], spectra) 
         sa, sc = spectra(*params)
         s_ab = chsh_from_spectrum(sa)
         s_bc = chsh_from_spectrum(sc)
-        b_max = pair_from_spectra(sa, sc)
+        b_max = star_from_spectra([sa, sc])
         rows.append(
             ScanRow(
                 params=tuple(zip(names, params)),

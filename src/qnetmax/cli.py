@@ -1,14 +1,16 @@
 """Command-line interface: analyze, scan, verify, swap-sim.
 
-Exit codes: 0 success, 1 verification-suite failure, 2 input error.  All
-randomness flows from --seed (default 0, overridable by the QNETMAX_SEED
-environment variable when the flag is absent); stdout is byte-identical for
-identical flags and seed.
+Exit codes: 0 success, 1 verification-suite failure, 2 input error.
+``analyze``, ``verify`` and ``swap-sim`` read --seed (default 0, overridable by
+the QNETMAX_SEED environment variable when the flag is absent); ``scan`` has no
+randomness and reads neither.  stdout is byte-identical for identical flags and
+seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -18,7 +20,7 @@ import warnings
 import numpy as np
 
 from . import criteria, jacobi
-from .classify import colored_scan, rows_to_csv, werner_scan
+from .classify import classify_values, colored_scan, rows_to_csv, violates, werner_scan
 from .correlations import zx_diagonal_settings
 from .errors import (
     ClosedFormExceededError,
@@ -116,7 +118,7 @@ def cmd_analyze(args) -> int:
             "label": state.label or os.path.basename(path),
             "t_spectrum": list(sp.as_tuple()),
             "chsh_max": s_max,
-            "chsh_violated": s_max > 1.0,
+            "chsh_violated": violates(s_max),
         }
         for path, state, sp, s_max in zip(args.states, states, net.spectra, net.chsh_per_link)
     ]
@@ -124,14 +126,10 @@ def cmd_analyze(args) -> int:
     joint = net.biloc_or_star
     if joint is not None:
         report["star_max"] = joint
-        report["nonbilocal"] = joint > 1.0
+        report["nonbilocal"] = violates(joint)
         if len(states) == 2:
             report["bilocality_max"] = joint
-            report["flags"] = {
-                "ab_nonlocal": links[0]["chsh_violated"],
-                "bc_nonlocal": links[1]["chsh_violated"],
-                "nonbilocal": joint > 1.0,
-            }
+            report["flags"] = dataclasses.asdict(classify_values(*net.chsh_per_link, joint))
     _emit_json(report)
     return 0
 
@@ -221,6 +219,7 @@ def _gap_suite(seed: int, instances: int, restarts: int, maximize) -> dict:
         if gap > _COMPLETENESS_TOL or gap < -_SOUNDNESS_TOL:
             failures += 1
     return {
+        "restarts": restarts,
         "max_gap": worst_gap,
         "min_gap": min_gap,
         "tolerance": _COMPLETENESS_TOL,
@@ -332,10 +331,7 @@ def cmd_verify(args) -> int:
     if seed < 0:
         raise QnetmaxError(f"the seed must be >= 0, got {seed}")
     summary = _SUITES[args.suite](seed, args.instances, args.restarts)
-    report = {"seed": seed, "suite": args.suite, "instances": args.instances}
-    if args.suite in ("theorem3", "theorem4"):
-        report["restarts"] = args.restarts
-    report.update(summary)
+    report = {"seed": seed, "suite": args.suite, "instances": args.instances, **summary}
     _emit_json(report)
     return 0 if summary["pass"] else 1
 
@@ -375,7 +371,7 @@ def cmd_swap_sim(args) -> int:
             "I": i_val,
             "J": j_val,
             "B": b_val,
-            "bilocality_violated": b_val > 1.0,
+            "bilocality_violated": violates(b_val),
         }
     )
     return 0
@@ -407,7 +403,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="start:stop:step[,start:stop:step]",
         help="one range makes a square grid; two ranges give each axis",
     )
-    p_scan.add_argument("--seed", type=int, default=None)
     p_scan.set_defaults(func=cmd_scan)
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")

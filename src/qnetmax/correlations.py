@@ -113,7 +113,7 @@ def _require_orthogonal(name0: str, v0: np.ndarray, name1: str, v1: np.ndarray) 
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BilocalSettings:
     """Measurement directions for the three-station pair network.
 
@@ -139,7 +139,7 @@ class BilocalSettings:
         _require_orthogonal("bC0", self.bC0, "bC1", self.bC1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StarBranch:
     """One branch: the outer station's pair (a0, a1) and the central pair (b0, b1).
 
@@ -157,7 +157,7 @@ class StarBranch:
         _require_orthogonal("b0", self.b0, "b1", self.b1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StarSettings:
     """Per-branch measurement directions for the star network."""
 
@@ -185,7 +185,7 @@ def zx_diagonal_settings() -> BilocalSettings:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
     """Outcome probabilities keyed by the input tuple.
 

@@ -107,17 +107,11 @@ def chsh_from_spectrum(sp: TSpectrum) -> float:
     return math.sqrt(sp.t1 + sp.t2)
 
 
-def pair_from_spectra(sa: TSpectrum, sc: TSpectrum) -> float:
-    """sqrt(sqrt(t1 t1') + sqrt(t2 t2')): the bilocality maximum of two spectra.
-
-    Kept apart from ``star_from_spectra``: math.sqrt and x ** 0.5 round
-    differently on a small share of inputs.
-    """
-    return math.sqrt(math.sqrt(sa.t1 * sc.t1) + math.sqrt(sa.t2 * sc.t2))
-
-
 def star_from_spectra(spectra: Sequence[TSpectrum]) -> float:
-    """sqrt((prod t1)^(1/n) + (prod t2)^(1/n)) over n >= 1 spectra."""
+    """sqrt((prod t1)^(1/n) + (prod t2)^(1/n)) over n >= 1 spectra.
+
+    For two spectra this is the bilocality maximum sqrt(sqrt(t1 t1') + sqrt(t2 t2')).
+    """
     if not spectra:
         raise EmptyNetworkError("star network needs at least one source state")
     n = len(spectra)
@@ -133,7 +127,7 @@ def chsh_max(state: TwoQubitState) -> float:
 
 def bilocality_max(state_ab: TwoQubitState, state_bc: TwoQubitState) -> float:
     """Maximal bilocality value sqrt(sqrt(t1 t1') + sqrt(t2 t2'))."""
-    return pair_from_spectra(_spectrum_of(state_ab), _spectrum_of(state_bc))
+    return star_from_spectra([_spectrum_of(state_ab), _spectrum_of(state_bc)])
 
 
 def star_max(states: Iterable[TwoQubitState]) -> float:
@@ -240,8 +234,7 @@ def phi_plus_comparison(state: TwoQubitState) -> tuple[float, float]:
     noisy source always violates bilocality at least as easily as CHSH.
     """
     sp = _spectrum_of(state)
-    biloc = math.sqrt(math.sqrt(sp.t1) + math.sqrt(sp.t2))
-    return (biloc, chsh_from_spectrum(sp))
+    return (star_from_spectra([sp, TSpectrum(1.0, 1.0, 1.0)]), chsh_from_spectrum(sp))
 
 
 @dataclass(frozen=True)

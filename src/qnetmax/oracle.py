@@ -69,7 +69,7 @@ class OptimizerConfig:
             raise ValidationError(f"obj_tol must be positive, got {self.obj_tol}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChshSettings:
     """Two observables per side for the two-station CHSH test."""
 
@@ -83,7 +83,7 @@ class ChshSettings:
             object.__setattr__(self, name, unit_vector(getattr(self, name)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimumCertificate:
     """Best value found, the settings achieving it, and the closed-form target.
 

@@ -91,7 +91,7 @@ class TwoQubitState:
         object.__setattr__(self, "entries", _readonly(entries))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
     """3x3 real matrix of joint Pauli correlators, axes ordered (x, y, z)."""
 

@@ -54,7 +54,7 @@ def bsm_operator(y: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BsmDistribution:
     """p(a, k, c | x, z) for Bell-state measurement at the center.
 

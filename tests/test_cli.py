@@ -200,6 +200,23 @@ def test_scan_rejects_oversized_grids(capsys, grid):
     assert "limit of 100000 points" in captured.err
 
 
+def test_scan_takes_no_seed_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--family", "werner", "--grid", "0:1:0.5", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_scan_ignores_the_seed_variable(capsys, monkeypatch):
+    argv = ["scan", "--family", "werner", "--grid", "0:1:0.5"]
+    monkeypatch.delenv("QNETMAX_SEED", raising=False)
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    monkeypatch.setenv("QNETMAX_SEED", "abc")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == plain
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -496,6 +513,19 @@ def test_module_invocation_is_byte_stable(state_files):
     assert first.stdout.startswith(b"{")
     report = json.loads(first.stdout)
     assert report["links"][0]["label"] == "werner(v=0.8)"
+
+
+def test_package_imports_need_numpy_only():
+    # pyproject.toml declares numpy as the only runtime dependency.
+    code = (
+        "import sys, qnetmax, qnetmax.cli; "
+        "print(sorted({'scipy', 'mpmath', 'sympy', 'hypothesis'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=subprocess_env(),
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

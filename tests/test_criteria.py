@@ -152,6 +152,13 @@ def test_star_matches_bilocality_at_two_branches():
         )
 
 
+@pytest.mark.parametrize("seed", [4746, 9252, 24004, 34190, 38082])
+def test_pair_value_is_one_formula_everywhere(seed):
+    # Pairs where two different roundings of the pair formula disagree in the last bit.
+    a, b = random_state(seed), random_state(seed + 1)
+    assert bilocality_max(a, b) == star_max([a, b]) == network_report([a, b]).biloc_or_star
+
+
 def test_star_singlets_any_size():
     s = bell_state("psi-")
     for n in (1, 2, 3, 4, 5):

@@ -9,6 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qnetmax.correlations import (
+    OutcomeDistribution,
+    StarBranch,
+    StarSettings,
+    zx_diagonal_settings,
+)
 from qnetmax.errors import (
     NotHermitianError,
     NotPSDError,
@@ -18,6 +24,7 @@ from qnetmax.errors import (
     TraceNotOneError,
     ValidationError,
 )
+from qnetmax.oracle import ChshSettings, OptimumCertificate
 from qnetmax.qstate import (
     BELL_KETS,
     CorrelationMatrix,
@@ -38,6 +45,7 @@ from qnetmax.qstate import (
     unit_vector,
     werner_state,
 )
+from qnetmax.swap import BsmDistribution
 
 MIXED = np.eye(4) / 4.0
 
@@ -433,6 +441,43 @@ def test_states_compare_and_hash_by_identity():
     assert random_state(5) != random_state(5)
     assert {state: "first"}[state] == "first"
     assert repr(state) == f"TwoQubitState(entries={state.entries!r}, label={state.label!r})"
+
+
+def _star_branch():
+    zx = zx_diagonal_settings()
+    return StarBranch(a0=zx.a0, a1=zx.a1, b0=zx.bA0, b1=zx.bA1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: correlation_matrix(make_state(random_state(5).entries)),
+        zx_diagonal_settings,
+        _star_branch,
+        lambda: StarSettings(branches=(_star_branch(),)),
+        lambda: ChshSettings(u0=(0, 0, 1), u1=(1, 0, 0), v0=(0, 0, 1), v1=(1, 0, 0)),
+        lambda: OptimumCertificate(1.0, zx_diagonal_settings(), 1.0, 0.0),
+        lambda: OutcomeDistribution({(0, 0, 0): np.full((2, 2, 2), 0.125)}),
+        lambda: BsmDistribution({(0, 0): np.full((2, 4, 2), 1.0 / 16.0)}),
+    ],
+    ids=[
+        "CorrelationMatrix",
+        "BilocalSettings",
+        "StarBranch",
+        "StarSettings",
+        "ChshSettings",
+        "OptimumCertificate",
+        "OutcomeDistribution",
+        "BsmDistribution",
+    ],
+)
+def test_records_holding_arrays_compare_and_hash_by_identity(build):
+    # Generated field-wise equality would compare arrays and raise.
+    first, second = build(), build()
+    assert first == first
+    assert first != second
+    hash(first)
+    assert {first: "first"}[first] == "first"
 
 
 def test_load_state_roundtrip(tmp_path):
